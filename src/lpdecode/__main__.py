@@ -1,0 +1,6 @@
+"""``python -m lpdecode``: the same command line as the ``lpdecode`` script."""
+
+from .cli import console_main
+
+if __name__ == "__main__":
+    console_main()

@@ -65,17 +65,8 @@ class ConditionQuery:
         elif self.mode == "signed":
             if self.support is None or self.signs is None:
                 raise DomainError("signed mode needs a support and a sign map")
-            support = np.asarray(self.support, dtype=np.int64)
-            if support.size and (support.min() < 0 or support.max() >= a.shape[0]):
-                raise DomainError("support indices out of range")
-            if len(np.unique(support)) != support.size:
-                raise DomainError("support indices must be distinct")
+            support = _check_support(a.shape[0], self.support, self.signs)
             object.__setattr__(self, "support", support)
-            missing = [int(i) for i in support if int(i) not in self.signs]
-            if missing:
-                raise DomainError(f"sign map misses support indices {missing}")
-            if any(self.signs[int(i)] not in (-1, 1) for i in support):
-                raise DomainError("signs must be +1 or -1")
         else:
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.z is not None:
@@ -104,6 +95,23 @@ def _check_direction(a: np.ndarray, z) -> np.ndarray:
     return z
 
 
+def _check_support(m: int, support, signs: dict[int, int] | None = None) -> np.ndarray:
+    """``support`` as distinct int64 indices into range(m); with ``signs``,
+    also require a sign of +1 or -1 for every index."""
+    t = np.asarray(support, dtype=np.int64)
+    if t.size and (t.min() < 0 or t.max() >= m):
+        raise DomainError("support indices out of range")
+    if len(np.unique(t)) != t.size:
+        raise DomainError("support indices must be distinct")
+    if signs is not None:
+        missing = [int(i) for i in t if int(i) not in signs]
+        if missing:
+            raise DomainError(f"sign map misses support indices {missing}")
+        if any(signs[int(i)] not in (-1, 1) for i in t):
+            raise DomainError("signs must be +1 or -1")
+    return t
+
+
 def _top_support(v: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest |v_i|, ties resolved toward lower index."""
     return np.argsort(-np.abs(v), kind="stable")[:k]
@@ -113,7 +121,7 @@ def support_margin(a: np.ndarray, p: float, support: np.ndarray, z) -> float:
     """Unsigned margin with an explicitly chosen support T."""
     v = a @ _check_direction(a, z)
     pw = np.abs(v) ** p
-    t = np.asarray(support, dtype=np.int64)
+    t = _check_support(a.shape[0], support)
     return float(np.sum(pw) - 2 * np.sum(pw[t]))
 
 
@@ -131,10 +139,7 @@ def signed_margin(a: np.ndarray, p: float, support, signs: dict[int, int], z) ->
     """Margin when the error support and signs are fixed in advance."""
     a = np.asarray(a, dtype=float)
     v = a @ _check_direction(a, z)
-    t = np.asarray(support, dtype=np.int64)
-    missing = [int(i) for i in t if int(i) not in signs]
-    if missing:
-        raise DomainError(f"sign map misses support indices {missing}")
+    t = _check_support(a.shape[0], support, signs)
     sgn = np.array([signs[int(i)] for i in t], dtype=float)
     pw = np.abs(v) ** p
     t_minus = t[v[t] * sgn < 0]
@@ -323,14 +328,14 @@ def attack_fixed_sign(
     if not (0 < p < 1):
         raise DomainError(f"fixed-sign attack requires p in (0, 1) strictly, got {p}")
     z = _check_direction(a, z)
-    margin = signed_margin(a, p, support, signs, z)
+    t = _check_support(m, support, signs)
+    margin = signed_margin(a, p, t, signs, z)
     if not margin < 0:
         raise DomainError(
             f"fixed-sign attack requires a strictly negative signed margin, got {margin}"
         )
     delta = -margin
 
-    t = np.asarray(support, dtype=np.int64)
     v = a @ z
     sgn = np.array([signs[int(i)] for i in t], dtype=float)
     minus_mask = v[t] * sgn < 0

@@ -4,13 +4,15 @@ Six subcommands: threshold, decode, phase, certify, attack, concentration.
 Single-object results are JSON, sweeps are CSV; everything stochastic takes
 --seed (or the LPDECODE_SEED environment variable) and a rerun with the
 same flags and seed produces byte-identical output.  Exit codes: 0 success,
-1 usage error, 2 numeric or domain failure.
+1 usage error or a file that cannot be read or written, 2 numeric or domain
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,7 +32,7 @@ from .ensemble import (
     ErrorSpec,
     SeedSpec,
     apply_decoder_success,
-    floor_count,
+    draw_support_signs,
     gaussian_matrix,
     make_instance,
     read_instance,
@@ -48,17 +50,22 @@ class _UsageError(Exception):
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """A float, or an inclusive start:stop:step grid.
+    """A finite float, or an inclusive start:stop:step grid of them.
 
     Endpoint test uses stop + step/2 so accumulated float error cannot drop
     the last point of grids like 0.05:0.45:0.05.
     """
-    if ":" not in text:
-        return (float(text),)
-    parts = text.split(":")
-    if len(parts) != 3:
+    try:
+        values = [float(v) for v in text.split(":")]
+    except ValueError:
+        raise _UsageError(f"grid values must be numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise _UsageError(f"grid values must be finite, got {text!r}")
+    if len(values) == 1:
+        return (values[0],)
+    if len(values) != 3:
         raise _UsageError(f"grid must be start:stop:step, got {text!r}")
-    start, stop, step = (float(v) for v in parts)
+    start, stop, step = values
     if step <= 0:
         raise _UsageError(f"grid step must be positive, got {step}")
     if stop < start:
@@ -93,7 +100,7 @@ def _cmd_threshold(args) -> str:
         steps=args.steps,
         with_derivative=args.derivative,
     )
-    return curve_csv(curve(req, tol=args.tol))
+    return curve_csv(curve(req))
 
 
 def _cmd_decode(args) -> str:
@@ -155,10 +162,7 @@ def _cmd_certify(args) -> str:
         if support is None:
             if args.rho is None:
                 raise _UsageError("signed certification needs --rho or --instance")
-            gen = SeedSpec(seed, 1).generator()
-            k = floor_count(args.rho, a.shape[0])
-            support = np.sort(gen.choice(a.shape[0], size=k, replace=False))
-            signs = {int(i): int(s) for i, s in zip(support, 2 * gen.integers(0, 2, k) - 1)}
+            support, signs = draw_support_signs(a.shape[0], args.rho, SeedSpec(seed, 1))
         query = ConditionQuery(a=a, p=args.p, mode="signed", support=support, signs=signs)
     report = search_violation(query, restarts=args.restarts, seed=SeedSpec(seed, 2))
     return report_json(report, query)
@@ -189,10 +193,7 @@ def _cmd_attack(args) -> str:
         )
     if not args.p < 1:
         raise _UsageError("fixed_sign attack requires p < 1")
-    gen = SeedSpec(seed, 3).generator()
-    k = floor_count(args.rho, args.m)
-    support = np.sort(gen.choice(args.m, size=k, replace=False))
-    signs = {int(i): int(s) for i, s in zip(support, 2 * gen.integers(0, 2, k) - 1)}
+    support, signs = draw_support_signs(args.m, args.rho, SeedSpec(seed, 3))
     query = ConditionQuery(a=a, p=args.p, mode="signed", support=support, signs=signs)
     found = search_violation(query, restarts=args.restarts, seed=SeedSpec(seed, 2))
     payload = {
@@ -248,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True, help="number of p grid points")
     p.add_argument("--derivative", action="store_true", help="include drho*/dp")
-    p.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
     p.set_defaults(handler=_cmd_threshold)
 
     p = add(
@@ -344,16 +344,19 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         text = args.handler(args)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except LpdecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -134,6 +134,21 @@ def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
     return seed.generator().standard_normal((m, n))
 
 
+def draw_support_signs(m: int, rho: float, seed: SeedSpec) -> tuple[np.ndarray, dict[int, int]]:
+    """A uniformly random support of floor(rho m) indices and a +-1 sign for each.
+
+    The support comes back sorted.  The draw order is frozen (support by
+    ``choice``, then the signs), so a seed always gives the same pair.
+    """
+    if not (math.isfinite(rho) and 0 <= rho <= 1):
+        raise DomainError(f"rho must lie in [0, 1], got {rho}")
+    gen = seed.generator()
+    k = floor_count(rho, m)
+    support = np.sort(gen.choice(m, size=k, replace=False))
+    signs = {int(i): int(s) for i, s in zip(support, 2 * gen.integers(0, 2, size=k) - 1)}
+    return support, signs
+
+
 def make_instance(
     m: int,
     n: int,

@@ -1,10 +1,11 @@
 """Density, CDF and (truncated) absolute moments of |X| for X ~ N(0, 1).
 
 Every threshold quantity in this package reduces to integrals of
-``z**p * pdf(z)`` over pieces of ``[0, inf)``.  Adaptive quadrature on
-``[0, z_max]`` is the source of truth here; the closed forms (erf, the
-gamma-function moment formula) are exposed separately as cross-check
-oracles, so the two routes stay independent.
+``z**p * pdf(z)`` over pieces of ``[0, inf)``.  The closed forms (erf, the
+gamma-function moment formula) are the source of truth for the CDF and the
+full moment.  Adaptive quadrature on ``[0, z_max]`` computes the truncated
+moments, the log-moment pieces behind the threshold derivative, and serves
+as the independent oracle the closed forms are tested against.
 
 The semi-infinite domain is handled rigorously: mass beyond ``z_max`` is
 bounded by a Gaussian tail inequality and verified against the requested
@@ -130,20 +131,18 @@ def _log_power_piece_near_zero(p: float, t: float, a: float) -> float:
     return SQRT_2_OVER_PI * (ilog(p) - 0.5 * ilog(p + 2))
 
 
-def cdf(z: float, quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """P(|X| <= z), by quadrature of the density over [0, z]."""
+def cdf(z: float) -> float:
+    """P(|X| <= z) = erf(z / sqrt(2))."""
     if not (math.isfinite(z) and z >= 0):
         raise DomainError(f"cdf requires finite z >= 0, got {z}")
-    _check_tail(quadrature)
-    val = _quad(pdf, 0.0, min(z, quadrature.z_max), quadrature)
-    return min(val, 1.0)
+    return math.erf(z / math.sqrt(2.0))
 
 
-def mu(p: float, quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """E|X|**p for p in (0, 2], by quadrature."""
+def mu(p: float) -> float:
+    """E|X|**p = 2**(p/2) * Gamma((p+1)/2) / sqrt(pi) for p in (0, 2]."""
     if not (math.isfinite(p) and 0 < p <= 2):
         raise DomainError(f"mu requires p in (0, 2], got {p}")
-    return tail_moment(MomentQuery(p=p, t=0.0), quadrature)
+    return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
 
 
 def tail_moment(q: MomentQuery, quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -173,7 +172,7 @@ def log_moment_integrals(
     """The pair ``(int_0^zstar, int_zstar^inf)`` of ``x**p ln(x) pdf(x) dx``.
 
     Both are finite for p > 0 (the ln singularity at zero is integrable).
-    Only the threshold-derivative cross-check consumes these.
+    Only the threshold derivative :func:`lpdecode.threshold.drho_dp` consumes these.
     """
     if not (math.isfinite(p) and 0 < p <= 1):
         raise DomainError(f"log_moment_integrals requires p in (0, 1], got {p}")
@@ -200,21 +199,7 @@ def log_moment_integrals(
     return lower, upper
 
 
-# -- Closed-form cross-checks (oracle route; never used by the quadrature path) --
-
-
-def cdf_closed_form(z: float) -> float:
-    """erf(z / sqrt(2)); independent check of :func:`cdf`."""
-    if not (math.isfinite(z) and z >= 0):
-        raise DomainError(f"cdf_closed_form requires finite z >= 0, got {z}")
-    return math.erf(z / math.sqrt(2.0))
-
-
-def mu_closed_form(p: float) -> float:
-    """2**(p/2) * Gamma((p+1)/2) / sqrt(pi); independent check of :func:`mu`."""
-    if not (math.isfinite(p) and 0 < p <= 2):
-        raise DomainError(f"mu_closed_form requires p in (0, 2], got {p}")
-    return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+# -- Closed-form cross-check of the quadrature route --
 
 
 def tail_moment_p1_closed_form(t: float) -> float:

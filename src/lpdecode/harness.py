@@ -23,6 +23,7 @@ from .ensemble import (
     Instance,
     SeedSpec,
     apply_decoder_success,
+    draw_support_signs,
     floor_count,
     make_instance,
 )
@@ -129,9 +130,7 @@ def _build_instance(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed) 
     m, n = plan.m, plan.n
     k = floor_count(rho, m)
     if plan.error_regime == "fixed_sign" and k > 0:
-        g = aux_seed.generator()
-        idx = np.sort(g.choice(m, size=k, replace=False))
-        signs = {int(i): int(s) for i, s in zip(idx, 2 * g.integers(0, 2, size=k) - 1)}
+        _, signs = draw_support_signs(m, rho, aux_seed)
         spec = ErrorSpec(rho=rho, sign_policy="fixed", fixed_signs=signs)
         return make_instance(m, n, spec, inst_seed)
     if plan.error_regime == "adversarial" and k > 0:

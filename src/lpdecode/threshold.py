@@ -2,8 +2,9 @@
 
 For each exponent p in (0, 1] the threshold is defined through the
 half-normal tail moment g(t): find the split point z* where g(z*) = g(0)/2,
-then rho*(p) = 1 - F(z*).  The curve is strictly decreasing in p, from 1/2
-in the p -> 0 limit down to 0.239... at p = 1.
+then rho*(p) = 1 - F(z*).  Both steps have closed forms (an inverse
+incomplete gamma function and erfc).  The curve is strictly decreasing in
+p, from 1/2 in the p -> 0 limit down to 0.239... at p = 1.
 
 An order-statistics Monte Carlo oracle estimates the same quantity from
 raw samples (sort |X_i|**p, find the prefix holding half the total mass),
@@ -16,14 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainccinv
 
 from . import halfnormal
-from .errors import DomainError, NumericError
-from .halfnormal import DEFAULT_QUADRATURE, MomentQuery, QuadratureConfig
+from .errors import DomainError
 from .seeding import generator_from
-
-_BISECTION_MAX_ITER = 200
-_BRACKET_HIGH = 10.0
 
 
 @dataclass(frozen=True)
@@ -72,78 +70,43 @@ class CurveRequest:
         return [self.p_min + span * i / (self.steps - 1) for i in range(self.steps)]
 
 
-def solve_zstar(
-    p: float,
-    tol: float = 1e-10,
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """Split point z* with g(z*) = g(0)/2, by bisection on [0, 10].
+def solve_zstar(p: float) -> float:
+    """Split point z* with g(z*) = g(0)/2, in closed form.
 
-    g is continuous and strictly decreasing from g(0) = E|X|**p to 0, so the
-    root exists and is unique; bisection is unconditionally convergent.
-    Returns z* with |g(z*) - g(0)/2| <= tol * g(0).
+    With s = (p+1)/2 the tail moment is g(t) = E|X|**p * Q(s, t**2/2), where
+    Q is the regularised upper incomplete gamma function.  So g(z*) = g(0)/2
+    reads Q(s, z***2/2) = 1/2, and z* = sqrt(2 * Q^-1(s, 1/2)).
     """
     if not (math.isfinite(p) and 0 < p <= 1):
         raise DomainError(f"solve_zstar requires p in (0, 1], got {p}")
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-
-    g0 = halfnormal.tail_moment(MomentQuery(p=p, t=0.0), quadrature)
-    target = 0.5 * g0
-    lo, hi = 0.0, min(_BRACKET_HIGH, quadrature.z_max)
-    best_z, best_resid = lo, g0 - target
-    for _ in range(_BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        resid = halfnormal.tail_moment(MomentQuery(p=p, t=mid), quadrature) - target
-        if abs(resid) < abs(best_resid):
-            best_z, best_resid = mid, resid
-        if abs(resid) <= tol * g0:
-            return mid
-        if resid > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 4 * np.finfo(float).eps * max(1.0, hi):
-            break
-    if abs(best_resid) <= tol * g0:
-        return best_z
-    raise NumericError(
-        f"bisection could not reach |g(z*) - g(0)/2| <= {tol:g} * g(0) for p={p}; "
-        f"best residual {best_resid:.3e}"
-    )
+    return math.sqrt(2.0 * gammainccinv(0.5 * (p + 1.0), 0.5))
 
 
-def rho_star(
-    p: float,
-    tol: float = 1e-10,
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """Recovery threshold rho*(p) = 1 - F(z*(p)); lies in (0, 1/2)."""
-    zs = solve_zstar(p, tol=tol, quadrature=quadrature)
-    return 1.0 - halfnormal.cdf(zs, quadrature)
+def _rho_at(zs: float) -> float:
+    return math.erfc(zs / math.sqrt(2.0))
 
 
-def drho_dp(
-    p: float,
-    tol: float = 1e-10,
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def _drho_at(p: float, zs: float) -> float:
+    lower, upper = halfnormal.log_moment_integrals(p, zs)
+    return (lower - upper) / (2.0 * zs ** p)
+
+
+def rho_star(p: float) -> float:
+    """Recovery threshold rho*(p) = P(|X| > z*) = erfc(z* / sqrt(2)); lies in (0, 1/2)."""
+    return _rho_at(solve_zstar(p))
+
+
+def drho_dp(p: float) -> float:
     """Derivative of the threshold curve.
 
     Equals [int_0^z* x**p ln(x) f(x) dx - int_z*^inf x**p ln(x) f(x) dx] / (2 z***p),
     which is strictly negative: the defining balance of z* forces the
-    numerator below zero.
+    numerator below zero.  The two integrals come from quadrature.
     """
-    zs = solve_zstar(p, tol=tol, quadrature=quadrature)
-    lower, upper = halfnormal.log_moment_integrals(p, zs, quadrature)
-    return (lower - upper) / (2.0 * zs ** p)
+    return _drho_at(p, solve_zstar(p))
 
 
-def curve(
-    req: CurveRequest,
-    tol: float = 1e-10,
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> list[ThresholdPoint]:
+def curve(req: CurveRequest) -> list[ThresholdPoint]:
     """Threshold points on the uniform p-grid of ``req``.
 
     p = 0 is never sampled: the curve is defined for p > 0 only, and the
@@ -151,13 +114,9 @@ def curve(
     """
     points = []
     for p in req.p_values():
-        zs = solve_zstar(p, tol=tol, quadrature=quadrature)
-        rho = 1.0 - halfnormal.cdf(zs, quadrature)
-        deriv = None
-        if req.with_derivative:
-            lower, upper = halfnormal.log_moment_integrals(p, zs, quadrature)
-            deriv = (lower - upper) / (2.0 * zs ** p)
-        points.append(ThresholdPoint(p=p, z_star=zs, rho_star=rho, drho_dp=deriv))
+        zs = solve_zstar(p)
+        deriv = _drho_at(p, zs) if req.with_derivative else None
+        points.append(ThresholdPoint(p=p, z_star=zs, rho_star=_rho_at(zs), drho_dp=deriv))
     return points
 
 

@@ -132,6 +132,36 @@ def test_signed_margin_rejects_incomplete_signs():
         signed_margin(a, 0.5, np.array([1, 2]), {1: 1}, np.ones(2))
 
 
+# |A z| = (1, 2, 3, 1, 0.5, 0.5) at z = 1: opposing signs on the first four
+# rows give a strictly negative signed margin, so only the support checks fail.
+_COLUMN = np.array([[1.0], [2.0], [3.0], [1.0], [0.5], [0.5]])
+
+
+@pytest.mark.parametrize(
+    "support",
+    [[0, 1, 2, -3], [0, 1, 2, 6], [0, 1, 2, 2]],
+    ids=["negative_index", "index_past_end", "duplicate_index"],
+)
+def test_support_checks_reject_bad_indices(support):
+    a, z = _COLUMN, np.array([1.0])
+    signs = {i: -1 for i in support}
+    with pytest.raises(DomainError):
+        support_margin(a, 0.5, support, z)
+    with pytest.raises(DomainError):
+        signed_margin(a, 0.5, support, signs, z)
+    with pytest.raises(DomainError):
+        attack_fixed_sign(a, np.zeros(1), 0.5, support, signs, z)
+
+
+def test_sign_checks_reject_signs_other_than_unit():
+    a, z = _COLUMN, np.array([1.0])
+    support, signs = [0, 1, 2, 3], {0: -5, 1: -1, 2: -1, 3: -1}
+    with pytest.raises(DomainError):
+        signed_margin(a, 0.5, support, signs, z)
+    with pytest.raises(DomainError):
+        attack_fixed_sign(a, np.zeros(1), 0.5, support, signs, z)
+
+
 def test_margins_reject_zero_direction():
     a = gaussian_matrix(10, 2, SeedSpec(105, 0))
     with pytest.raises(DomainError):

@@ -1,10 +1,15 @@
 """Command-line interface: flags, exit codes, byte-stable artifacts."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lpdecode
 from lpdecode import ErrorSpec, SeedSpec, make_instance, rho_star, write_instance
 from lpdecode.cli import _parse_grid, _UsageError, main
 
@@ -443,3 +448,60 @@ def test_concentration_domain_error_exits_two(capsys):
     )
     assert rc == 2
     assert "error" in err
+
+
+_PHASE = ["phase", "--m", "40", "--n", "5", "--trials", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (_PHASE + ["--p", "0.5", "--rho", "nan:1:0.1"], 1),
+        (_PHASE + ["--p", "0:inf:0.1", "--rho", "0.1"], 1),
+        (_PHASE + ["--p", "0.5", "--rho", "abc"], 1),
+        (["decode", "--p", "0.5", "--instance", "{tmp}/missing"], 1),
+        (["threshold", "--p-min", "1", "--p-max", "1", "--steps", "1", "--out", "{tmp}"], 1),
+        (["certify", "--mode", "signed", "--p", "0.5", "--m", "40", "--n", "3",
+          "--rho", "1.5", "--seed", "9"], 2),
+        (["attack", "--mode", "fixed_sign", "--m", "60", "--n", "4", "--p", "0.5",
+          "--rho", "1.5", "--seed", "5"], 2),
+    ],
+    ids=[
+        "nan_grid",
+        "inf_grid",
+        "text_grid",
+        "missing_instance",
+        "unwritable_out",
+        "certify_rho_above_one",
+        "attack_rho_above_one",
+    ],
+)
+def test_bad_input_exits_with_one_line(capsys, tmp_path, argv, code):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    rc, out, err = run(capsys, argv)
+    assert rc == code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+def test_threshold_tol_flag_is_gone(capsys):
+    # z* is computed in closed form, so there is no search tolerance to set
+    rc, _, err = run(
+        capsys, ["threshold", "--p-min", "1", "--p-max", "1", "--steps", "1", "--tol", "1e-3"]
+    )
+    assert rc == 1
+    assert "--tol" in err
+
+
+def test_python_m_runs_cli(tmp_path):
+    src = str(Path(lpdecode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["decode", "--p", "0.5", "--instance", str(tmp_path / "missing")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpdecode", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "missing" in proc.stderr

@@ -15,6 +15,7 @@ from lpdecode import (
     read_instance,
     write_instance,
 )
+from lpdecode.ensemble import draw_support_signs
 
 
 def test_floor_count_guards_float_droop():
@@ -169,6 +170,20 @@ def test_fixed_signs_out_of_range_rejected():
     spec = ErrorSpec(rho=0.2, sign_policy="fixed", fixed_signs={25: 1})
     with pytest.raises(DomainError):
         make_instance(20, 3, spec, SeedSpec(0, 0))
+
+
+def test_draw_support_signs_keeps_frozen_draw_order():
+    support, signs = draw_support_signs(40, 0.3, SeedSpec(5, 1))
+    gen = SeedSpec(5, 1).generator()
+    expected = np.sort(gen.choice(40, size=12, replace=False))
+    np.testing.assert_array_equal(support, expected)
+    assert signs == {int(i): int(s) for i, s in zip(expected, 2 * gen.integers(0, 2, 12) - 1)}
+
+
+@pytest.mark.parametrize("rho", [-0.1, 1.5, float("nan")])
+def test_draw_support_signs_rejects_rho_outside_unit_interval(rho):
+    with pytest.raises(DomainError):
+        draw_support_signs(40, rho, SeedSpec(5, 1))
 
 
 def test_seed_spec_rejects_negative_stream():
