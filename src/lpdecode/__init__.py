@@ -14,7 +14,6 @@ from .certify import (
     attack_arbitrary,
     attack_fixed_sign,
     brute_force_min_margin,
-    objective_pair,
     report_json,
     search_violation,
     signed_margin,
@@ -120,7 +119,6 @@ __all__ = [
     "mc_threshold_oracle",
     "mix64",
     "mu",
-    "objective_pair",
     "pdf",
     "phase_csv",
     "read_instance",

@@ -16,23 +16,28 @@ where T- = {i in T : v_i * signs[i] < 0}.  Both margins are homogeneous of
 degree p in z, so searches live on the unit sphere.  A strictly negative
 margin is constructive: it converts into an explicit error vector under
 which the decoder prefers a wrong codeword.
+
+Every margin here is sum_i c_i |v_i|^p with coefficients c_i in {+1, 0, -1};
+``_coefficients`` is the one place that picks T (unsigned) or T- (signed)
+and so decides which entries count against recovery.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoder import lp_objective
 from .ensemble import SeedSpec, ceil_count
 from .errors import DomainError, NumericError
 
 _SEARCH_STEPS = 500
 _STEP_SCALE = 0.3
 _GRAD_FLOOR = 1e-8
+_HEAD_SCALE = 10.0
+_GRID_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +56,7 @@ class ConditionQuery:
     support: np.ndarray | None = None
     signs: dict[int, int] | None = None
     z: np.ndarray | None = None
+    _sgn: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -65,8 +71,9 @@ class ConditionQuery:
         elif self.mode == "signed":
             if self.support is None or self.signs is None:
                 raise DomainError("signed mode needs a support and a sign map")
-            support = _check_support(a.shape[0], self.support, self.signs)
+            support, sgn = _check_support(a.shape[0], self.support, self.signs)
             object.__setattr__(self, "support", support)
+            object.__setattr__(self, "_sgn", sgn)
         else:
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.z is not None:
@@ -95,57 +102,76 @@ def _check_direction(a: np.ndarray, z) -> np.ndarray:
     return z
 
 
-def _check_support(m: int, support, signs: dict[int, int] | None = None) -> np.ndarray:
-    """``support`` as distinct int64 indices into range(m); with ``signs``,
-    also require a sign of +1 or -1 for every index."""
+def _check_support(m: int, support, signs: dict[int, int] | None = None):
+    """``support`` as distinct int64 indices into range(m), and with ``signs``
+    (a sign of +1 or -1 for every index) the length-m sign vector that holds
+    those signs on the support and 0 off it; without ``signs`` that vector is
+    None."""
     t = np.asarray(support, dtype=np.int64)
     if t.size and (t.min() < 0 or t.max() >= m):
         raise DomainError("support indices out of range")
     if len(np.unique(t)) != t.size:
         raise DomainError("support indices must be distinct")
-    if signs is not None:
-        missing = [int(i) for i in t if int(i) not in signs]
-        if missing:
-            raise DomainError(f"sign map misses support indices {missing}")
-        if any(signs[int(i)] not in (-1, 1) for i in t):
-            raise DomainError("signs must be +1 or -1")
-    return t
+    if signs is None:
+        return t, None
+    missing = [int(i) for i in t if int(i) not in signs]
+    if missing:
+        raise DomainError(f"sign map misses support indices {missing}")
+    if any(signs[int(i)] not in (-1, 1) for i in t):
+        raise DomainError("signs must be +1 or -1")
+    sgn = np.zeros(m)
+    sgn[t] = [signs[int(i)] for i in t]
+    return t, sgn
 
 
-def _top_support(v: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest |v_i|, ties resolved toward lower index."""
-    return np.argsort(-np.abs(v), kind="stable")[:k]
+def _coefficients(v: np.ndarray, k: int = 0, sgn=None, support=None) -> np.ndarray:
+    """Coefficients c of the margin sum_i c_i |v_i|^p, for v of shape (m,) or
+    (m, K) (one column per direction).
+
+    Signed condition (``sgn`` is the length-m sign vector, 0 off the support):
+    +1 off the support, -1 on T- (entries opposing their sign), 0 on the rest
+    of the support.  Unsigned condition: -1 on T and +1 off it, where T is
+    ``support`` when given and otherwise the k largest |v_i| of each column,
+    ties going to the lower index.
+    """
+    if sgn is not None:
+        s = sgn[:, None] if v.ndim == 2 else sgn
+        return np.where(s == 0, 1.0, np.where(v * s < 0, -1.0, 0.0))
+    if support is None:
+        support = np.argsort(-np.abs(v), axis=0, kind="stable")[:k]
+    coef = np.ones(v.shape)
+    np.put_along_axis(coef, support, -1.0, axis=0)
+    return coef
 
 
 def support_margin(a: np.ndarray, p: float, support: np.ndarray, z) -> float:
     """Unsigned margin with an explicitly chosen support T."""
     v = a @ _check_direction(a, z)
-    pw = np.abs(v) ** p
-    t = _check_support(a.shape[0], support)
-    return float(np.sum(pw) - 2 * np.sum(pw[t]))
+    t, _ = _check_support(a.shape[0], support)
+    return float(np.dot(_coefficients(v, support=t), np.abs(v) ** p))
 
 
 def unsigned_margin(a: np.ndarray, p: float, rho: float, z) -> float:
     """Margin against the worst support of size ceil(rho m) for this z."""
     a = np.asarray(a, dtype=float)
     v = a @ _check_direction(a, z)
-    k = ceil_count(rho, a.shape[0])
-    pw = np.abs(v) ** p
-    t = _top_support(v, k)
-    return float(np.sum(pw) - 2 * np.sum(pw[t]))
+    coef = _coefficients(v, k=ceil_count(rho, a.shape[0]))
+    return float(np.dot(coef, np.abs(v) ** p))
 
 
 def signed_margin(a: np.ndarray, p: float, support, signs: dict[int, int], z) -> float:
     """Margin when the error support and signs are fixed in advance."""
     a = np.asarray(a, dtype=float)
     v = a @ _check_direction(a, z)
-    t = _check_support(a.shape[0], support, signs)
-    sgn = np.array([signs[int(i)] for i in t], dtype=float)
-    pw = np.abs(v) ** p
-    t_minus = t[v[t] * sgn < 0]
-    off = np.ones(a.shape[0], dtype=bool)
-    off[t] = False
-    return float(np.sum(pw[off]) - np.sum(pw[t_minus]))
+    _, sgn = _check_support(a.shape[0], support, signs)
+    return float(np.dot(_coefficients(v, sgn=sgn), np.abs(v) ** p))
+
+
+def _query_coefficients(q: ConditionQuery, v: np.ndarray) -> np.ndarray:
+    """``_coefficients`` under the condition ``q`` names."""
+    if q.mode == "unsigned":
+        return _coefficients(v, k=ceil_count(q.rho, q.a.shape[0]))
+    return _coefficients(v, sgn=q._sgn)
 
 
 def _margin_and_subgrad(q: ConditionQuery, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -157,15 +183,7 @@ def _margin_and_subgrad(q: ConditionQuery, z: np.ndarray) -> tuple[float, np.nda
     # |v|^(p-1) blows up at v = 0 for p < 1; floor it relative to the scale.
     floor = _GRAD_FLOOR * (absv.max() + 1e-300)
     dfac = p * np.maximum(absv, floor) ** (p - 1.0) * np.sign(v)
-    coef = np.ones(a.shape[0])
-    if q.mode == "unsigned":
-        t = _top_support(v, ceil_count(q.rho, a.shape[0]))
-        coef[t] = -1.0
-    else:
-        t = q.support
-        sgn = np.array([q.signs[int(i)] for i in t], dtype=float)
-        coef[t] = 0.0
-        coef[t[v[t] * sgn < 0]] = -1.0
+    coef = _query_coefficients(q, v)
     margin = float(np.dot(coef, pw))
     grad = a.T @ (coef * dfac)
     return margin, grad
@@ -232,31 +250,28 @@ def brute_force_min_margin(
     if resolution <= 0:
         raise DomainError("resolution must be positive")
     if n == 1:
-        candidates = [np.array([1.0]), np.array([-1.0])]
+        z = np.array([[1.0, -1.0]])
     elif n == 2:
         angles = np.arange(0.0, 2 * math.pi, resolution)
-        candidates = [np.array([math.cos(t), math.sin(t)]) for t in angles]
+        z = np.stack([np.cos(angles), np.sin(angles)])
     else:
-        candidates = []
-        for theta in np.arange(0.0, math.pi + resolution / 2, resolution):
-            for phi in np.arange(0.0, 2 * math.pi, resolution):
-                candidates.append(
-                    np.array(
-                        [
-                            math.sin(theta) * math.cos(phi),
-                            math.sin(theta) * math.sin(phi),
-                            math.cos(theta),
-                        ]
-                    )
-                )
-    best = math.inf
-    best_z = candidates[0]
-    for z in candidates:
-        margin, _ = _margin_and_subgrad(q, z)
-        if margin < best:
-            best = margin
-            best_z = z
-    return float(best), best_z
+        theta, phi = np.meshgrid(
+            np.arange(0.0, math.pi + resolution / 2, resolution),
+            np.arange(0.0, 2 * math.pi, resolution),
+            indexing="ij",
+        )
+        theta, phi = theta.ravel(), phi.ravel()
+        z = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    # Column blocks of about _GRID_BLOCK_ENTRIES entries of A z bound the m x K
+    # temporaries; one product over a whole n = 3 grid at resolution 0.05 and
+    # m = 30 raised peak memory by 6 MB.
+    step = max(1, _GRID_BLOCK_ENTRIES // q.a.shape[0])
+    margins = np.empty(z.shape[1])
+    for j in range(0, z.shape[1], step):
+        v = q.a @ z[:, j : j + step]
+        margins[j : j + step] = np.einsum("ij,ij->j", _query_coefficients(q, v), np.abs(v) ** q.p)
+    best = int(np.argmin(margins))
+    return float(margins[best]), z[:, best].copy()
 
 
 def attack_arbitrary(
@@ -292,7 +307,7 @@ def attack_arbitrary(
     z = _check_direction(a, z)
 
     v = a @ z
-    t = _top_support(v, ceil_count(rho, m))
+    t = _coefficients(v, k=ceil_count(rho, m)) < 0
     e = np.zeros(m)
     e[t] = v[t]
     return e, f + z
@@ -305,7 +320,6 @@ def attack_fixed_sign(
     support,
     signs: dict[int, int],
     z,
-    head_scale: float = 10.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Error pattern with prescribed support and signs that makes f - z win.
 
@@ -328,25 +342,23 @@ def attack_fixed_sign(
     if not (0 < p < 1):
         raise DomainError(f"fixed-sign attack requires p in (0, 1) strictly, got {p}")
     z = _check_direction(a, z)
-    t = _check_support(m, support, signs)
-    margin = signed_margin(a, p, t, signs, z)
+    _, sgn = _check_support(m, support, signs)
+    v = a @ z
+    coef = _coefficients(v, sgn=sgn)
+    margin = float(np.dot(coef, np.abs(v) ** p))
     if not margin < 0:
         raise DomainError(
             f"fixed-sign attack requires a strictly negative signed margin, got {margin}"
         )
     delta = -margin
 
-    v = a @ z
-    sgn = np.array([signs[int(i)] for i in t], dtype=float)
-    minus_mask = v[t] * sgn < 0
-    t_minus = t[minus_mask]
-    t_plus = t[~minus_mask]
-
+    t_minus = coef < 0
+    t_plus = coef == 0
     e = np.zeros(m)
     e[t_minus] = -v[t_minus]
-    if t_plus.size:
+    if np.any(t_plus):
         head_abs = np.abs(v[t_plus])
-        base = head_scale * max(np.max(np.abs(v)), 1e-300)
+        base = _HEAD_SCALE * max(np.max(np.abs(v)), 1e-300)
         magnitude = base
         while True:
             gap = float(np.sum((magnitude + head_abs) ** p - magnitude**p))
@@ -358,7 +370,7 @@ def attack_fixed_sign(
                     f"delta / 2 (p={p}, delta={delta:.3e})"
                 )
             magnitude *= 2.0
-        e[t_plus] = sgn[~minus_mask] * magnitude
+        e[t_plus] = sgn[t_plus] * magnitude
     return e, f - z
 
 
@@ -378,13 +390,3 @@ def report_json(report: CertifyReport, query: ConditionQuery) -> str:
         "rho": rho,
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def objective_pair(
-    a: np.ndarray, y: np.ndarray, p: float, x_true: np.ndarray, x_alt: np.ndarray
-) -> tuple[float, float]:
-    """Residual objectives (at x_true, at x_alt); attack checks compare these."""
-    return (
-        lp_objective(y - a @ x_true, p),
-        lp_objective(y - a @ x_alt, p),
-    )

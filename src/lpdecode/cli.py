@@ -362,3 +362,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

@@ -20,30 +20,25 @@ from .ensemble import SeedSpec
 from .errors import DomainError, NumericError, SingularityError
 
 
+_EPS_START = 1.0
+_EPS_MIN = 1e-8
+_EPS_SHRINK = 0.1
+_MAX_OUTER = 12
+_MAX_INNER = 100
+_INNER_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Tuning knobs for the IRLS iteration."""
+    """The lp exponent and the number of IRLS restarts; the eps schedule and
+    iteration caps are module constants."""
 
     p: float
-    eps_start: float = 1.0
-    eps_min: float = 1e-8
-    eps_shrink: float = 0.1
-    max_outer: int = 12
-    max_inner: int = 100
-    inner_tol: float = 1e-10
     restarts: int = 1
 
     def __post_init__(self):
         if not (0 < self.p <= 1):
             raise DomainError(f"p must lie in (0, 1], got {self.p}")
-        if not (0 < self.eps_min < self.eps_start):
-            raise DomainError("need 0 < eps_min < eps_start")
-        if not (0 < self.eps_shrink < 1):
-            raise DomainError("eps_shrink must lie in (0, 1)")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise DomainError("iteration caps must be at least 1")
-        if self.inner_tol <= 0:
-            raise DomainError("inner_tol must be positive")
         if self.restarts < 1:
             raise DomainError("restarts must be at least 1")
 
@@ -102,13 +97,13 @@ def _run_single(a, y, cfg, x0, s2):
     trace: list[float] = []
     phase_starts: list[int] = []
     iterations = 0
-    eps = cfg.eps_start
+    eps = _EPS_START
     converged = False
     while True:
         eps_abs = eps * s2
         phase_starts.append(len(trace))
         phase_converged = False
-        for _ in range(cfg.max_inner):
+        for _ in range(_MAX_INNER):
             r = y - a @ x
             w = (r * r + eps_abs) ** (p / 2 - 1)
             x_new = weighted_least_squares(a, y, w)
@@ -118,15 +113,15 @@ def _run_single(a, y, cfg, x0, s2):
             denom = max(np.linalg.norm(x), np.linalg.norm(x_new))
             step = np.linalg.norm(x_new - x) / denom if denom > 0 else 0.0
             x = x_new
-            if step <= cfg.inner_tol:
+            if step <= _INNER_TOL:
                 phase_converged = True
                 break
-        if eps <= cfg.eps_min:
+        if eps <= _EPS_MIN:
             converged = phase_converged
             break
-        if len(phase_starts) >= cfg.max_outer:
+        if len(phase_starts) >= _MAX_OUTER:
             break
-        eps = max(eps * cfg.eps_shrink, cfg.eps_min)
+        eps = max(eps * _EPS_SHRINK, _EPS_MIN)
     if not np.all(np.isfinite(x)):
         raise NumericError("IRLS iterate became non-finite")
     return x, trace, iterations, converged, phase_starts

@@ -251,27 +251,30 @@ def write_instance(inst: Instance, prefix: str | Path) -> tuple[Path, Path]:
 def read_instance(prefix: str | Path) -> Instance:
     """Read an instance written by :func:`write_instance` and validate it."""
     prefix = Path(prefix)
-    rows = [
-        [float(v) for v in line.split(",")]
-        for line in prefix.with_suffix(".csv").read_text().splitlines()
-        if line
-    ]
-    a = np.array(rows, dtype=float)
-    sidecar = json.loads(prefix.with_suffix(".json").read_text())
-    if a.shape != (sidecar["m"], sidecar["n"]):
-        raise DomainError(
-            f"matrix shape {a.shape} disagrees with sidecar ({sidecar['m']}, {sidecar['n']})"
-        )
-    seed = None
-    if sidecar.get("seed") is not None:
-        seed = SeedSpec(sidecar["seed"]["master_seed"], sidecar["seed"]["stream_id"])
+    try:
+        rows = [
+            [float(v) for v in line.split(",")]
+            for line in prefix.with_suffix(".csv").read_text().splitlines()
+            if line
+        ]
+        a = np.array(rows, dtype=float)
+        sidecar = json.loads(prefix.with_suffix(".json").read_text())
+        shape = (sidecar["m"], sidecar["n"])
+        seed = sidecar.get("seed")
+        if seed is not None:
+            seed = SeedSpec(seed["master_seed"], seed["stream_id"])
+        vectors = {key: np.array(sidecar[key], dtype=float) for key in ("f", "e", "y")}
+        support = np.array(sidecar["support"], dtype=np.int64)
+        signs = {int(i): int(s) for i, s in sidecar["signs"].items()}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DomainError(f"malformed fixture {prefix}: {type(exc).__name__}: {exc}") from exc
+    if a.shape != shape:
+        raise DomainError(f"matrix shape {a.shape} disagrees with sidecar {shape}")
     inst = Instance(
         a=a,
-        f=np.array(sidecar["f"], dtype=float),
-        e=np.array(sidecar["e"], dtype=float),
-        y=np.array(sidecar["y"], dtype=float),
-        support=np.array(sidecar["support"], dtype=np.int64),
-        signs={int(i): int(s) for i, s in sidecar["signs"].items()},
+        **vectors,
+        support=support,
+        signs=signs,
         seed=seed,
     )
     inst.validate()

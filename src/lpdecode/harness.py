@@ -7,7 +7,6 @@ depend on execution order or on the number of worker processes.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 import time
@@ -34,6 +33,7 @@ from .seeding import mix64
 log = logging.getLogger(__name__)
 
 _REGIMES = ("arbitrary", "fixed_sign", "adversarial")
+_LEVEL = 0.5
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,7 @@ class SweepPlan:
     rho_values: tuple[float, ...]
     trials: int
     error_regime: str = "arbitrary"
-    decoder_cfg: DecoderConfig | None = None
     master_seed: int = 0
-    success_tol: float = 1e-4
 
     def __post_init__(self):
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
@@ -65,8 +63,6 @@ class SweepPlan:
             raise DomainError("trials must be at least 1")
         if self.error_regime not in _REGIMES:
             raise DomainError(f"unknown error_regime {self.error_regime!r}")
-        if self.success_tol <= 0:
-            raise DomainError("success_tol must be positive")
 
 
 @dataclass(eq=False)
@@ -154,8 +150,7 @@ def _build_instance(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed) 
 def _run_cell(plan: SweepPlan, p_index: int, rho_index: int) -> PhaseCell:
     p = plan.p_values[p_index]
     rho = plan.rho_values[rho_index]
-    base_cfg = plan.decoder_cfg or DecoderConfig(p=p)
-    cfg = dataclasses.replace(base_cfg, p=p)
+    cfg = DecoderConfig(p=p)
 
     t0 = time.perf_counter()
     successes = 0
@@ -170,7 +165,7 @@ def _run_cell(plan: SweepPlan, p_index: int, rho_index: int) -> PhaseCell:
                 "solver error at p=%g rho=%g trial=%d: %s", p, rho, trial, exc
             )
             continue
-        if apply_decoder_success(result.x_hat, inst.f, plan.success_tol):
+        if apply_decoder_success(result.x_hat, inst.f):
             successes += 1
         gaps.append(result.objective - lp_objective(inst.e, p))
     wallclock_ms = int(round((time.perf_counter() - t0) * 1000))
@@ -205,8 +200,9 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[PhaseCell]:
         return list(pool.map(_cell_worker, coords))
 
 
-def estimate_threshold(cells: list[PhaseCell], level: float = 0.5) -> ThresholdEstimate:
-    """Interpolate the rho where success crosses ``level`` along one p slice."""
+def estimate_threshold(cells: list[PhaseCell]) -> ThresholdEstimate:
+    """Interpolate the rho where the success rate crosses one half along one
+    p slice."""
     if len({c.p for c in cells}) != 1:
         raise DomainError("threshold estimation needs cells at a single p")
     rhos = [c.rho for c in cells]
@@ -216,14 +212,14 @@ def estimate_threshold(cells: list[PhaseCell], level: float = 0.5) -> ThresholdE
         raise DomainError("threshold estimation needs at least 4 distinct rho values")
     ordered = sorted(cells, key=lambda c: c.rho)
     rates = [c.success_rate for c in ordered]
-    if rates[0] < level:
+    if rates[0] < _LEVEL:
         return ThresholdEstimate(rho=ordered[0].rho, crossed=False)
     for i in range(len(ordered) - 1):
-        if rates[i] >= level and rates[i + 1] < level:
+        if rates[i] >= _LEVEL and rates[i + 1] < _LEVEL:
             r0, r1 = ordered[i].rho, ordered[i + 1].rho
             s0, s1 = rates[i], rates[i + 1]
             return ThresholdEstimate(
-                rho=r0 + (s0 - level) * (r1 - r0) / (s0 - s1), crossed=True
+                rho=r0 + (s0 - _LEVEL) * (r1 - r0) / (s0 - s1), crossed=True
             )
     return ThresholdEstimate(rho=ordered[-1].rho, crossed=False)
 

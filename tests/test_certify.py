@@ -266,6 +266,42 @@ def test_brute_force_signed_mode_n1():
     assert bz[0] == 1.0
 
 
+def _grid_loop(n, resolution):
+    """The oracle's sphere grid, one point at a time (theta-major for n = 3)."""
+    if n == 2:
+        return [np.array([math.cos(t), math.sin(t)])
+                for t in np.arange(0.0, 2 * math.pi, resolution)]
+    return [
+        np.array([math.sin(t) * math.cos(f), math.sin(t) * math.sin(f), math.cos(t)])
+        for t in np.arange(0.0, math.pi + resolution / 2, resolution)
+        for f in np.arange(0.0, 2 * math.pi, resolution)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["unsigned", "signed"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_brute_force_matches_per_point_margins(n, mode):
+    m, p, resolution = 24, 0.5, 0.05
+    a = gaussian_matrix(m, n, SeedSpec(117, n))
+    if mode == "unsigned":
+        q = ConditionQuery(a=a, p=p, mode="unsigned", rho=0.3)
+    else:
+        gen = SeedSpec(118, n).generator()
+        support = np.sort(gen.choice(m, size=16, replace=False))
+        signs = {int(i): int(s) for i, s in zip(support, 2 * gen.integers(0, 2, 16) - 1)}
+        q = ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs)
+    grid = _grid_loop(n, resolution)
+    margins = [
+        unsigned_margin(a, p, q.rho, z) if mode == "unsigned"
+        else signed_margin(a, p, q.support, q.signs, z)
+        for z in grid
+    ]
+    best = int(np.argmin(margins))
+    brute, bz = brute_force_min_margin(q, resolution=resolution)
+    assert abs(brute - margins[best]) <= 1e-12
+    assert np.array_equal(bz, grid[best])
+
+
 def test_brute_force_rejects_large_n():
     a = gaussian_matrix(10, 4, SeedSpec(113, 0))
     with pytest.raises(DomainError):

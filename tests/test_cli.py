@@ -484,6 +484,27 @@ def test_bad_input_exits_with_one_line(capsys, tmp_path, argv, code):
     assert len(err.splitlines()) == 1
 
 
+def _drop_f(sidecar):
+    data = json.loads(sidecar.read_text())
+    del data["f"]
+    sidecar.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_f, lambda sidecar: sidecar.write_text("{not json")],
+    ids=["missing_key", "not_json"],
+)
+def test_malformed_fixture_exits_with_one_line(capsys, tmp_path, corrupt):
+    write_instance(make_instance(20, 3, ErrorSpec(rho=0.1), SeedSpec(4, 0)), tmp_path / "inst")
+    corrupt(tmp_path / "inst.json")
+    rc, out, err = run(capsys, ["decode", "--p", "0.5", "--instance", str(tmp_path / "inst")])
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "malformed fixture" in err
+
+
 def test_threshold_tol_flag_is_gone(capsys):
     # z* is computed in closed form, so there is no search tolerance to set
     rc, _, err = run(
@@ -497,11 +518,12 @@ def test_python_m_runs_cli(tmp_path):
     src = str(Path(lpdecode.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["decode", "--p", "0.5", "--instance", str(tmp_path / "missing")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "lpdecode", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert "missing" in proc.stderr
+    for module in ("lpdecode", "lpdecode.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1, module
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "missing" in proc.stderr

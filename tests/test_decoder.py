@@ -171,10 +171,4 @@ def test_decoder_config_validation():
     with pytest.raises(DomainError):
         DecoderConfig(p=1.5)
     with pytest.raises(DomainError):
-        DecoderConfig(p=0.5, eps_min=2.0)
-    with pytest.raises(DomainError):
-        DecoderConfig(p=0.5, eps_shrink=1.0)
-    with pytest.raises(DomainError):
         DecoderConfig(p=0.5, restarts=0)
-    with pytest.raises(DomainError):
-        DecoderConfig(p=0.5, inner_tol=0.0)
