@@ -66,8 +66,7 @@ class ConditionQuery:
         if not (0 < self.p <= 1):
             raise DomainError(f"p must lie in (0, 1], got {self.p}")
         if self.mode == "unsigned":
-            if self.rho is None or not (0 <= self.rho <= 1):
-                raise DomainError("unsigned mode needs rho in [0, 1]")
+            _support_size(self.rho, a.shape[0])
         elif self.mode == "signed":
             if self.support is None or self.signs is None:
                 raise DomainError("signed mode needs a support and a sign map")
@@ -100,6 +99,13 @@ def _check_direction(a: np.ndarray, z) -> np.ndarray:
     if not np.any(z):
         raise DomainError("direction z must be nonzero")
     return z
+
+
+def _support_size(rho: float | None, m: int) -> int:
+    """ceil(rho m), the size of the worst-case support T, for rho in [0, 1]."""
+    if rho is None or not (0 <= rho <= 1):
+        raise DomainError(f"rho must lie in [0, 1], got {rho}")
+    return ceil_count(rho, m)
 
 
 def _check_support(m: int, support, signs: dict[int, int] | None = None):
@@ -146,6 +152,7 @@ def _coefficients(v: np.ndarray, k: int = 0, sgn=None, support=None) -> np.ndarr
 
 def support_margin(a: np.ndarray, p: float, support: np.ndarray, z) -> float:
     """Unsigned margin with an explicitly chosen support T."""
+    a = np.asarray(a, dtype=float)
     v = a @ _check_direction(a, z)
     t, _ = _check_support(a.shape[0], support)
     return float(np.dot(_coefficients(v, support=t), np.abs(v) ** p))
@@ -155,7 +162,7 @@ def unsigned_margin(a: np.ndarray, p: float, rho: float, z) -> float:
     """Margin against the worst support of size ceil(rho m) for this z."""
     a = np.asarray(a, dtype=float)
     v = a @ _check_direction(a, z)
-    coef = _coefficients(v, k=ceil_count(rho, a.shape[0]))
+    coef = _coefficients(v, k=_support_size(rho, a.shape[0]))
     return float(np.dot(coef, np.abs(v) ** p))
 
 
@@ -170,7 +177,7 @@ def signed_margin(a: np.ndarray, p: float, support, signs: dict[int, int], z) ->
 def _query_coefficients(q: ConditionQuery, v: np.ndarray) -> np.ndarray:
     """``_coefficients`` under the condition ``q`` names."""
     if q.mode == "unsigned":
-        return _coefficients(v, k=ceil_count(q.rho, q.a.shape[0]))
+        return _coefficients(v, k=_support_size(q.rho, q.a.shape[0]))
     return _coefficients(v, sgn=q._sgn)
 
 
@@ -296,8 +303,7 @@ def attack_arbitrary(
     m, n = a.shape
     if f.shape != (n,):
         raise DomainError(f"f must have length n={n}, got shape {f.shape}")
-    if not (0 <= rho <= 1):
-        raise DomainError(f"rho must lie in [0, 1], got {rho}")
+    k = _support_size(rho, m)
     if not (0 < p <= 1):
         raise DomainError(f"p must lie in (0, 1], got {p}")
     if z is None:
@@ -307,7 +313,7 @@ def attack_arbitrary(
     z = _check_direction(a, z)
 
     v = a @ z
-    t = _coefficients(v, k=ceil_count(rho, m)) < 0
+    t = _coefficients(v, k=k) < 0
     e = np.zeros(m)
     e[t] = v[t]
     return e, f + z

@@ -5,7 +5,9 @@ sum_i (r_i^2 + eps)^(p/2) with eps shrunk geometrically; each fixed-eps
 phase runs reweighted least squares with weights w_i = (r_i^2 + eps)^(p/2-1),
 which majorizes the surrogate, so the smoothed objective is non-increasing
 within a phase.  eps is applied relative to the squared measurement scale
-||y||^2 / m, which makes the whole iteration equivariant under y -> c y.
+||y||^2 / m, which makes the whole iteration equivariant under y -> c y; the
+iteration itself runs on y and A divided by powers of two, so that holds
+across the whole float range.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .ensemble import SeedSpec
 from .errors import DomainError, NumericError, SingularityError
@@ -26,6 +28,7 @@ _EPS_SHRINK = 0.1
 _MAX_OUTER = 12
 _MAX_INNER = 100
 _INNER_TOL = 1e-10
+_PIVOT_RATIO_MIN = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,18 @@ def lp_objective(r: np.ndarray, p: float) -> float:
 
 
 def weighted_least_squares(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """argmin_x sum_i w_i (y_i - (A x)_i)^2 via QR of the sqrt(w)-scaled system."""
+    """argmin_x sum_i w_i (y_i - (A x)_i)^2 by Cholesky of the weighted Gram
+    matrix A^T W A, without forming a Q.
+
+    The Gram matrix G = R^T R squares the condition number of the
+    sqrt(w)-scaled system, so a solve through it loses twice the digits a QR
+    solve would.  The system counts as numerically rank deficient, and
+    SingularityError is raised, when the factorisation fails or when the
+    pivots R_kk^2 span more than 1/sqrt(eps): past that, less than half the
+    digits of x would be right.  A^T W A must also be representable, which
+    ``decode`` ensures by rescaling A and y; an A with entries near 1e150
+    can overflow it, which raises SingularityError.
+    """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -78,16 +92,21 @@ def weighted_least_squares(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.nd
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise DomainError("weights must be finite and strictly positive")
 
-    sw = np.sqrt(w)
-    q, r = np.linalg.qr(a * sw[:, None])
-    diag = np.abs(np.diag(r))
-    dmax = diag.max() if n else 0.0
-    if dmax == 0.0 or diag.min() <= max(m, n) * np.finfo(float).eps * dmax:
+    aw = a * w[:, None]
+    try:
+        factor = cho_factor(a.T @ aw, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(
+            f"weighted system is numerically rank deficient (Cholesky failed: {exc}, m={m}, n={n})"
+        ) from exc
+    pivots = np.diag(factor[0]) ** 2
+    ratio = pivots.min() / pivots.max() if n else 0.0
+    if not ratio > _PIVOT_RATIO_MIN:
         raise SingularityError(
             "weighted system is numerically rank deficient "
-            f"(|R_kk| range [{diag.min():.3e}, {dmax:.3e}], m={m}, n={n})"
+            f"(Cholesky pivot ratio {ratio:.3e}, m={m}, n={n})"
         )
-    return solve_triangular(r, q.T @ (y * sw))
+    return cho_solve(factor, aw.T @ y, check_finite=False)
 
 
 def _run_single(a, y, cfg, x0, s2):
@@ -99,12 +118,12 @@ def _run_single(a, y, cfg, x0, s2):
     iterations = 0
     eps = _EPS_START
     converged = False
+    r = y - a @ x
     while True:
         eps_abs = eps * s2
         phase_starts.append(len(trace))
         phase_converged = False
         for _ in range(_MAX_INNER):
-            r = y - a @ x
             w = (r * r + eps_abs) ** (p / 2 - 1)
             x_new = weighted_least_squares(a, y, w)
             r_new = y - a @ x_new
@@ -112,7 +131,7 @@ def _run_single(a, y, cfg, x0, s2):
             iterations += 1
             denom = max(np.linalg.norm(x), np.linalg.norm(x_new))
             step = np.linalg.norm(x_new - x) / denom if denom > 0 else 0.0
-            x = x_new
+            x, r = x_new, r_new
             if step <= _INNER_TOL:
                 phase_converged = True
                 break
@@ -125,6 +144,11 @@ def _run_single(a, y, cfg, x0, s2):
     if not np.all(np.isfinite(x)):
         raise NumericError("IRLS iterate became non-finite")
     return x, trace, iterations, converged, phase_starts
+
+
+def _exponent(v: np.ndarray) -> int:
+    """The e with 2^(e-1) <= max|v| < 2^e (0 when v is all zero)."""
+    return math.frexp(float(np.max(np.abs(v))))[1]
 
 
 def decode(
@@ -151,7 +175,15 @@ def decode(
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
         raise DomainError("a and y must be finite")
 
-    s2 = float(np.mean(y * y))
+    # IRLS runs on y / 2^ey and A / 2^ea, whose largest entries lie in
+    # [1/2, 1), so r*r, eps and the Gram matrix stay in range for any finite
+    # input.  Scaling by a power of two is exact (short of the subnormal
+    # range), and so is scaling x back.
+    ey = _exponent(y)
+    ea = _exponent(a)
+    ys = np.ldexp(y, -ey)
+    as_ = np.ldexp(a, -ea)
+    s2 = float(np.mean(ys * ys))
     if s2 == 0.0:
         return DecodeResult(
             x_hat=np.zeros(n),
@@ -162,10 +194,11 @@ def decode(
             phase_starts=[],
         )
 
-    x0 = weighted_least_squares(a, y, np.ones(m))
+    x0 = weighted_least_squares(as_, ys, np.ones(m))
     gen = None
     if cfg.restarts > 1:
         gen = (seed or SeedSpec(0, 0)).generator()
+    trace_scale = float(np.exp2(ey * cfg.p))
 
     best = None
     best_obj = math.inf
@@ -175,7 +208,8 @@ def decode(
         else:
             scale = 0.1 * np.linalg.norm(x0) / math.sqrt(n)
             start = x0 + gen.standard_normal(n) * scale
-        x, trace, iters, conv, starts = _run_single(a, y, cfg, start, s2)
+        xs, trace, iters, conv, starts = _run_single(as_, ys, cfg, start, s2)
+        x = np.ldexp(xs, ey - ea)
         obj = lp_objective(y - a @ x, cfg.p)
         if not math.isfinite(obj):
             raise NumericError("objective became non-finite")
@@ -184,9 +218,10 @@ def decode(
             best = DecodeResult(
                 x_hat=x,
                 objective=obj,
-                objective_trace=trace,
+                objective_trace=[t * trace_scale for t in trace],
                 iterations=iters,
                 converged=conv,
                 phase_starts=starts,
             )
     return best
+

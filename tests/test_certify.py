@@ -170,6 +170,22 @@ def test_margins_reject_zero_direction():
         support_margin(a, 0.5, np.array([0]), np.zeros(2))
 
 
+@pytest.mark.parametrize("rho", [math.nan, -0.1, 1.5])
+def test_unsigned_paths_reject_bad_rho(rho):
+    a, z = np.array([[1.0], [2.0]]), np.array([1.0])
+    with pytest.raises(DomainError):
+        unsigned_margin(a, 1.0, rho, z)
+    with pytest.raises(DomainError):
+        attack_arbitrary(a, np.zeros(1), 1.0, rho, z)
+    with pytest.raises(DomainError):
+        ConditionQuery(a=a, p=1.0, mode="unsigned", rho=rho)
+
+
+def test_support_margin_accepts_lists():
+    # |Az| = (1, 2), T = {0}: margin = 2 - 1
+    assert support_margin([[1.0], [2.0]], 1.0, [0], [1.0]) == pytest.approx(1.0)
+
+
 def test_condition_query_validation():
     a = gaussian_matrix(10, 2, SeedSpec(106, 0))
     with pytest.raises(DomainError):

@@ -73,6 +73,52 @@ def test_wls_validates_weights_and_shapes():
         weighted_least_squares(a, np.ones(4), np.ones(3))
 
 
+def _scaled_lstsq(a, y, w):
+    sw = np.sqrt(w)
+    return np.linalg.lstsq(a * sw[:, None], y * sw, rcond=None)[0]
+
+
+@pytest.mark.parametrize("spread", [1.0, 1e4, 1e8])
+@pytest.mark.parametrize("shape", [(200, 20), (1000, 100)])
+def test_wls_matches_lstsq_oracle(shape, spread):
+    # log-uniform weights over [1, spread]; IRLS reaches spreads near 1e8 at
+    # eps_min for small p
+    m, n = shape
+    gen = np.random.default_rng(int(np.log10(spread)) + m)
+    for _ in range(3):
+        a = gen.standard_normal((m, n))
+        y = gen.standard_normal(m)
+        w = spread ** gen.uniform(0.0, 1.0, m)
+        x = weighted_least_squares(a, y, w)
+        ref = _scaled_lstsq(a, y, w)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("shape", [(200, 20), (1000, 100)])
+def test_wls_nearly_collinear_matches_lstsq_or_raises(shape):
+    # the last column is the one before it plus delta times noise; the Gram
+    # matrix squares cond(A) ~ 1 / delta, so an accepted solve must still
+    # agree with lstsq (to 1e-6, well inside the decoder's 1e-4 success
+    # tolerance) and a lost one must raise, never return a wrong x
+    m, n = shape
+    gen = np.random.default_rng(n)
+    outcomes = []
+    for delta in (1e-2, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12, 0.0):
+        a = gen.standard_normal((m, n))
+        a[:, -1] = a[:, -2] + delta * gen.standard_normal(m)
+        y = gen.standard_normal(m)
+        w = 1e4 ** gen.uniform(0.0, 1.0, m)
+        try:
+            x = weighted_least_squares(a, y, w)
+        except SingularityError:
+            outcomes.append("raised")
+            continue
+        ref = _scaled_lstsq(a, y, w)
+        assert np.linalg.norm(x - ref) <= 1e-6 * np.linalg.norm(ref), delta
+        outcomes.append("matched")
+    assert outcomes[0] == "matched" and outcomes[-1] == "raised"
+
+
 @pytest.mark.parametrize("p", [0.3, 0.7, 1.0])
 def test_decode_noiseless_exact(p):
     inst = make_instance(50, 5, ErrorSpec(rho=0.0), SeedSpec(31, 0))
@@ -128,6 +174,30 @@ def test_decode_scale_equivariance():
     for c in (1e-6, 1e6):
         scaled = decode(inst.a, c * inst.y, DecoderConfig(p=0.5)).x_hat
         np.testing.assert_allclose(scaled, c * base, rtol=1e-6, atol=1e-9 * c)
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e-100, 1e100, 1e160, 1e300])
+def test_decode_scale_equivariance_across_float_range(c):
+    # at 1e-170 mean(y*y) underflows and at 1e160 r*r overflows unless the
+    # decoder rescales y first
+    inst = make_instance(60, 6, ErrorSpec(rho=0.1), SeedSpec(3, 0))
+    base = decode(inst.a, inst.y, DecoderConfig(p=0.5))
+    res = decode(inst.a, c * inst.y, DecoderConfig(p=0.5))
+    assert np.max(np.abs(res.x_hat / c - base.x_hat)) <= 1e-6
+    assert res.converged == base.converged
+    assert res.objective == pytest.approx(c**0.5 * base.objective, rel=1e-6)
+    assert res.objective_trace[-1] == pytest.approx(
+        c**0.5 * base.objective_trace[-1], rel=1e-6
+    )
+
+
+@pytest.mark.parametrize("d", [1e-170, 1e160])
+def test_decode_matrix_scale_across_float_range(d):
+    # the Gram matrix of A squares its scale, so A is rescaled before IRLS
+    inst = make_instance(60, 6, ErrorSpec(rho=0.1), SeedSpec(3, 0))
+    base = decode(inst.a, inst.y, DecoderConfig(p=0.5)).x_hat
+    x_hat = decode(d * inst.a, inst.y, DecoderConfig(p=0.5)).x_hat
+    assert np.max(np.abs(x_hat * d - base)) <= 1e-6
 
 
 def test_decode_zero_measurements():
