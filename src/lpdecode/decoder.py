@@ -8,6 +8,13 @@ within a phase.  eps is applied relative to the squared measurement scale
 ||y||^2 / m, which makes the whole iteration equivariant under y -> c y; the
 iteration itself runs on y and A divided by powers of two, so that holds
 across the whole float range.
+
+One kernel, ``_irls``, runs IRLS on a stack of trials at once: the restarts
+of ``decode`` share one A, and a sweep cell stacks the A of each of its
+trials.  Every step is one batched Gram product and residual, then one
+LAPACK Cholesky factorisation and solve per trial; a trial that finishes
+stays in the stack, frozen, so every trial's result is bit-identical to a
+run on its own.
 """
 
 from __future__ import annotations
@@ -16,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .ensemble import SeedSpec
-from .errors import DomainError, NumericError, SingularityError
+from .errors import DomainError, LpdecodeError, NumericError, SingularityError
 
 
 _EPS_START = 1.0
@@ -70,18 +77,65 @@ def lp_objective(r: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(np.asarray(r, dtype=float)) ** p))
 
 
+def _exponent(v: np.ndarray) -> int:
+    """The e with 2^(e-1) <= max|v| < 2^e (0 when v is all zero)."""
+    return math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
+
+
+def _solve(a, w, y, live=None):
+    """One weighted least-squares solve per trial of a stack.
+
+    a is (T, m, n) or (1, m, n), w is (T, m) and y is (T, m) or (1, m).
+    Returns x of shape (T, n), with zero rows for the trials that ``live``
+    (a (T,) bool mask, default all) leaves out or that fail, and a dict
+    {trial: SingularityError} for the failures.
+
+    The Gram matrices A^T W A and right-hand sides A^T W y of the whole
+    stack are two batched products; each trial is then solved from the
+    Cholesky factor U of its own Gram matrix.  G = U^T U squares the
+    condition number of the sqrt(w)-scaled system, so a trial counts as
+    numerically rank deficient when its factorisation fails or its pivots
+    U_kk^2 span more than 1/sqrt(eps): past that, less than half the digits
+    of x would be right.
+    """
+    aw = a * w[..., None]
+    gram = np.swapaxes(a, -1, -2) @ aw
+    rhs = (np.swapaxes(aw, -1, -2) @ y[..., None])[..., 0]
+    m, n = a.shape[-2:]
+    x = np.zeros((len(w), n))
+    pivots = np.ones((len(w), n))  # stays 1 for the trials not factored
+    failed = {}
+    for t in range(len(w)) if live is None else np.flatnonzero(live):
+        upper, info = dpotrf(gram[t], lower=0, clean=0)
+        if info:
+            failed[t] = SingularityError(
+                "weighted system is numerically rank deficient "
+                f"(Cholesky failed at leading minor {info}, m={m}, n={n})"
+            )
+            continue
+        pivots[t] = upper.diagonal()
+        x[t] = dpotrs(upper, rhs[t], lower=0)[0]
+    pivots **= 2
+    ratios = pivots.min(axis=1) / pivots.max(axis=1) if n else np.zeros(len(w))
+    for t in np.flatnonzero(~(ratios > _PIVOT_RATIO_MIN)):
+        failed[t] = SingularityError(
+            "weighted system is numerically rank deficient "
+            f"(Cholesky pivot ratio {ratios[t]:.3e}, m={m}, n={n})"
+        )
+        x[t] = 0.0
+    return x, failed
+
+
 def weighted_least_squares(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """argmin_x sum_i w_i (y_i - (A x)_i)^2 by Cholesky of the weighted Gram
-    matrix A^T W A, without forming a Q.
+    matrix A^T W A, without forming a Q: the one-trial form of the solve
+    step the decoder runs on its stacks.
 
-    The Gram matrix G = R^T R squares the condition number of the
-    sqrt(w)-scaled system, so a solve through it loses twice the digits a QR
-    solve would.  The system counts as numerically rank deficient, and
-    SingularityError is raised, when the factorisation fails or when the
-    pivots R_kk^2 span more than 1/sqrt(eps): past that, less than half the
-    digits of x would be right.  A^T W A must also be representable, which
-    ``decode`` ensures by rescaling A and y; an A with entries near 1e150
-    can overflow it, which raises SingularityError.
+    A, y and w are first divided by powers of two, with w's even, so that
+    A^T W A is representable for any finite input; that scaling is exact,
+    and so is scaling x back.  The system counts as numerically rank
+    deficient, and SingularityError is raised, when the factorisation fails
+    or when the Cholesky pivots span more than 1/sqrt(eps).
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -92,63 +146,141 @@ def weighted_least_squares(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.nd
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise DomainError("weights must be finite and strictly positive")
 
-    aw = a * w[:, None]
-    try:
-        factor = cho_factor(a.T @ aw, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(
-            f"weighted system is numerically rank deficient (Cholesky failed: {exc}, m={m}, n={n})"
-        ) from exc
-    pivots = np.diag(factor[0]) ** 2
-    ratio = pivots.min() / pivots.max() if n else 0.0
-    if not ratio > _PIVOT_RATIO_MIN:
-        raise SingularityError(
-            "weighted system is numerically rank deficient "
-            f"(Cholesky pivot ratio {ratio:.3e}, m={m}, n={n})"
-        )
-    return cho_solve(factor, aw.T @ y, check_finite=False)
+    # An even power of two for w keeps the Cholesky factor's scale a power
+    # of two too, so for inputs already in range no bit changes.
+    ea, ey, ew = _exponent(a), _exponent(y), _exponent(w) // 2 * 2
+    x, failed = _solve(
+        np.ldexp(a, -ea)[None], np.ldexp(w, -ew)[None], np.ldexp(y, -ey)[None]
+    )
+    if failed:
+        raise failed[0]
+    return np.ldexp(x[0], ey - ea)
 
 
-def _run_single(a, y, cfg, x0, s2):
-    """One restart from x0: eps continuation around the inner IRLS loop."""
-    p = cfg.p
+def _norms(v):
+    """Euclidean norm of each row, by the BLAS dot np.linalg.norm uses on
+    one row, so that each row's norm does not depend on the stack."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _irls(a, y, p, x0, s2):
+    """IRLS from each row of x0 on a stack of trials: eps continuation around
+    the inner reweighted loop, per trial.
+
+    a is (T, m, n) or (1, m, n), y is (T, m) or (1, m), x0 is (T, n) and s2
+    (T,) or (1,) is the squared measurement scale of each trial.  Returns
+    one (x, trace, iterations, converged, phase_starts) tuple per trial, or
+    the LpdecodeError that trial raised.  A trial that finishes or fails
+    stays in the stack behind the ``live`` mask, never gathered out, and
+    its result is taken at the step it finishes.
+    """
+    t_count, n = x0.shape
     x = x0
-    trace: list[float] = []
-    phase_starts: list[int] = []
-    iterations = 0
-    eps = _EPS_START
-    converged = False
-    r = y - a @ x
-    while True:
-        eps_abs = eps * s2
-        phase_starts.append(len(trace))
-        phase_converged = False
-        for _ in range(_MAX_INNER):
-            w = (r * r + eps_abs) ** (p / 2 - 1)
-            x_new = weighted_least_squares(a, y, w)
-            r_new = y - a @ x_new
-            trace.append(float(np.sum((r_new * r_new + eps_abs) ** (p / 2))))
-            iterations += 1
-            denom = max(np.linalg.norm(x), np.linalg.norm(x_new))
-            step = np.linalg.norm(x_new - x) / denom if denom > 0 else 0.0
-            x, r = x_new, r_new
-            if step <= _INNER_TOL:
-                phase_converged = True
-                break
-        if eps <= _EPS_MIN:
-            converged = phase_converged
-            break
-        if len(phase_starts) >= _MAX_OUTER:
-            break
-        eps = max(eps * _EPS_SHRINK, _EPS_MIN)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("IRLS iterate became non-finite")
-    return x, trace, iterations, converged, phase_starts
+    r = y - (a @ x[..., None])[..., 0]
+    eps = np.full(t_count, _EPS_START)
+    phases = np.ones(t_count, dtype=np.int64)
+    inner = np.zeros(t_count, dtype=np.int64)
+    # A trial is live from the first step until it is done, so its k-th
+    # iteration is the stack's k-th step: trace[k] holds every trial's k-th
+    # objective, and a trial's iteration count is the step it finished at.
+    trace = np.empty((_MAX_OUTER * _MAX_INNER, t_count))
+    iterations = np.zeros(t_count, dtype=np.int64)
+    phase_starts = np.zeros((t_count, _MAX_OUTER), dtype=np.int64)
+    x_out = np.empty((t_count, n))
+    converged = np.zeros(t_count, dtype=bool)
+    live = np.ones(t_count, dtype=bool)
+    errors: dict[int, LpdecodeError] = {}
+    k = 0
+    while live.any():
+        eps_abs = (eps * s2)[:, None]
+        w = (r * r + eps_abs) ** (p / 2 - 1)
+        x_new, failed = _solve(a, w, y, live)
+        for t, exc in failed.items():
+            errors[t] = exc
+            live[t] = False
+        r_new = y - (a @ x_new[..., None])[..., 0]
+        trace[k] = np.sum((r_new * r_new + eps_abs) ** (p / 2), axis=-1)
+        k += 1
+        denom = np.maximum(_norms(x), _norms(x_new))
+        # x_new == x == 0 where denom is 0, so the step reads 0 there
+        step = _norms(x_new - x) / np.where(denom > 0, denom, 1.0)
+        # Rows that are not live hold zeros from here on, never read again.
+        x, r = x_new, r_new
+        inner += 1
+
+        settled = step <= _INNER_TOL
+        phase_over = live & (settled | (inner >= _MAX_INNER))
+        if phase_over.any():
+            last = phase_over & (eps <= _EPS_MIN)
+            converged |= last & settled
+            done = last | (phase_over & (phases >= _MAX_OUTER))
+            more = phase_over & ~done
+            eps[more] = np.maximum(eps[more] * _EPS_SHRINK, _EPS_MIN)
+            phase_starts[more, phases[more]] = k
+            phases[more] += 1
+            inner[phase_over] = 0
+            x_out[done] = x[done]
+            iterations[done] = k
+            live &= ~done
+
+    out = []
+    for t in range(t_count):
+        if t in errors:
+            out.append(errors[t])
+        elif not np.all(np.isfinite(x_out[t])):
+            out.append(NumericError("IRLS iterate became non-finite"))
+        else:
+            k = int(iterations[t])
+            out.append(
+                (x_out[t], trace[:k, t].tolist(), k, bool(converged[t]),
+                 phase_starts[t, : phases[t]].tolist())
+            )
+    return out
 
 
-def _exponent(v: np.ndarray) -> int:
-    """The e with 2^(e-1) <= max|v| < 2^e (0 when v is all zero)."""
-    return math.frexp(float(np.max(np.abs(v))))[1]
+def _scale(a, y):
+    """Per-trial powers of two for a stack: (a / 2^ea, y / 2^ey, ea, ey, s2).
+
+    IRLS runs on the scaled trials, whose largest entries lie in [1/2, 1),
+    so r*r, eps and the Gram matrix stay in range for any finite input.
+    Scaling by a power of two is exact (short of the subnormal range), and
+    so is scaling x back.  s2 is each trial's squared measurement scale.
+    """
+    ea = np.frexp(np.max(np.abs(a), axis=(1, 2)))[1]
+    ey = np.frexp(np.max(np.abs(y), axis=1))[1]
+    ys = np.ldexp(y, -ey[:, None])
+    return np.ldexp(a, -ea[:, None, None]), ys, ea, ey, np.mean(ys * ys, axis=1)
+
+
+def _zero_result(n: int) -> DecodeResult:
+    return DecodeResult(
+        x_hat=np.zeros(n),
+        objective=0.0,
+        objective_trace=[],
+        iterations=0,
+        converged=True,
+        phase_starts=[],
+    )
+
+
+def _result(a, y, p, run, ea, ey) -> DecodeResult:
+    """Scale one kernel run back to the original A and y."""
+    if isinstance(run, LpdecodeError):
+        raise run
+    xs, trace, iterations, converged, phase_starts = run
+    x = np.ldexp(xs, ey - ea)
+    obj = lp_objective(y - a @ x, p)
+    if not math.isfinite(obj):
+        raise NumericError("objective became non-finite")
+    trace_scale = float(np.exp2(ey * p))
+    return DecodeResult(
+        x_hat=x,
+        objective=obj,
+        objective_trace=[t * trace_scale for t in trace],
+        iterations=iterations,
+        converged=converged,
+        phase_starts=phase_starts,
+    )
 
 
 def decode(
@@ -161,7 +293,8 @@ def decode(
 
     Restart 0 starts from the unweighted least-squares fit; later restarts
     perturb it with seeded Gaussian noise at a tenth of its norm.  The seed
-    defaults to SeedSpec(0, 0) and only matters when restarts > 1.
+    defaults to SeedSpec(0, 0) and only matters when restarts > 1.  The
+    restarts run as one stack that shares A.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -175,53 +308,43 @@ def decode(
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
         raise DomainError("a and y must be finite")
 
-    # IRLS runs on y / 2^ey and A / 2^ea, whose largest entries lie in
-    # [1/2, 1), so r*r, eps and the Gram matrix stay in range for any finite
-    # input.  Scaling by a power of two is exact (short of the subnormal
-    # range), and so is scaling x back.
-    ey = _exponent(y)
-    ea = _exponent(a)
-    ys = np.ldexp(y, -ey)
-    as_ = np.ldexp(a, -ea)
-    s2 = float(np.mean(ys * ys))
-    if s2 == 0.0:
-        return DecodeResult(
-            x_hat=np.zeros(n),
-            objective=0.0,
-            objective_trace=[],
-            iterations=0,
-            converged=True,
-            phase_starts=[],
-        )
-
-    x0 = weighted_least_squares(as_, ys, np.ones(m))
-    gen = None
+    as_, ys, ea, ey, s2 = _scale(a[None], y[None])
+    if s2[0] == 0.0:
+        return _zero_result(n)
+    x0, failed = _solve(as_, np.ones((1, m)), ys)
+    if failed:
+        raise failed[0]
+    starts = [x0[0]]
     if cfg.restarts > 1:
         gen = (seed or SeedSpec(0, 0)).generator()
-    trace_scale = float(np.exp2(ey * cfg.p))
+        scale = 0.1 * np.linalg.norm(x0[0]) / math.sqrt(n)
+        starts += [x0[0] + gen.standard_normal(n) * scale for _ in range(cfg.restarts - 1)]
 
     best = None
-    best_obj = math.inf
-    for k in range(cfg.restarts):
-        if k == 0:
-            start = x0
-        else:
-            scale = 0.1 * np.linalg.norm(x0) / math.sqrt(n)
-            start = x0 + gen.standard_normal(n) * scale
-        xs, trace, iters, conv, starts = _run_single(as_, ys, cfg, start, s2)
-        x = np.ldexp(xs, ey - ea)
-        obj = lp_objective(y - a @ x, cfg.p)
-        if not math.isfinite(obj):
-            raise NumericError("objective became non-finite")
-        if obj < best_obj:
-            best_obj = obj
-            best = DecodeResult(
-                x_hat=x,
-                objective=obj,
-                objective_trace=[t * trace_scale for t in trace],
-                iterations=iters,
-                converged=conv,
-                phase_starts=starts,
-            )
+    for run in _irls(as_, ys, cfg.p, np.array(starts), s2):
+        res = _result(a, y, cfg.p, run, ea[0], ey[0])
+        if best is None or res.objective < best.objective:
+            best = res
     return best
 
+
+def _decode_trials(a, y, p):
+    """``decode(a[t], y[t], DecoderConfig(p))`` for every trial of a stack of
+    finite inputs (a is (T, m, n), y is (T, m)), run as one batched IRLS.  A trial that
+    fails gets its LpdecodeError in place of its DecodeResult, and the other
+    trials' results do not change."""
+    t_count, m, n = a.shape
+    as_, ys, ea, ey, s2 = _scale(a, y)
+    x0, failed = _solve(as_, np.ones((t_count, m)), ys)
+    out = [_zero_result(n) if s2[t] == 0.0 else failed.get(t) for t in range(t_count)]
+    live = [t for t in range(t_count) if out[t] is None]
+    if not live:
+        return out
+    # Gathering copies the stack, which only happens when a trial is out.
+    sel = live if len(live) < t_count else slice(None)
+    for t, run in zip(live, _irls(as_[sel], ys[sel], p, x0[sel], s2[sel])):
+        try:
+            out[t] = _result(a[t], y[t], p, run, ea[t], ey[t])
+        except LpdecodeError as exc:
+            out[t] = exc
+    return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import attack_arbitrary
-from .decoder import DecoderConfig, decode, lp_objective
+from .decoder import _decode_trials, lp_objective
 from .ensemble import (
     ErrorSpec,
     Instance,
@@ -148,23 +148,37 @@ def _build_instance(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed) 
 
 
 def _run_cell(plan: SweepPlan, p_index: int, rho_index: int) -> PhaseCell:
+    """Build the cell's instances and decode all of its trials as one stack."""
     p = plan.p_values[p_index]
     rho = plan.rho_values[rho_index]
-    cfg = DecoderConfig(p=p)
 
     t0 = time.perf_counter()
+    outcomes: list = [None] * plan.trials
+    instances = {}
+    for trial in range(plan.trials):
+        inst_seed, aux_seed, _ = trial_seeds(plan, p_index, rho_index, trial)
+        try:
+            instances[trial] = _build_instance(plan, p, rho, inst_seed, aux_seed)
+        except LpdecodeError as exc:
+            outcomes[trial] = exc
+    if instances:
+        results = _decode_trials(
+            np.stack([inst.a for inst in instances.values()]),
+            np.stack([inst.y for inst in instances.values()]),
+            p,
+        )
+        for trial, result in zip(instances, results):
+            outcomes[trial] = result
+
     successes = 0
     gaps = []
-    for trial in range(plan.trials):
-        inst_seed, aux_seed, dec_seed = trial_seeds(plan, p_index, rho_index, trial)
-        try:
-            inst = _build_instance(plan, p, rho, inst_seed, aux_seed)
-            result = decode(inst.a, inst.y, cfg, seed=dec_seed)
-        except LpdecodeError as exc:
+    for trial, result in enumerate(outcomes):
+        if isinstance(result, LpdecodeError):
             log.warning(
-                "solver error at p=%g rho=%g trial=%d: %s", p, rho, trial, exc
+                "solver error at p=%g rho=%g trial=%d: %s", p, rho, trial, result
             )
             continue
+        inst = instances[trial]
         if apply_decoder_success(result.x_hat, inst.f):
             successes += 1
         gaps.append(result.objective - lp_objective(inst.e, p))

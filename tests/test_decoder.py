@@ -1,7 +1,12 @@
 """IRLS decoder and its weighted least-squares kernel."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from lpdecode import (
     DecoderConfig,
@@ -9,11 +14,15 @@ from lpdecode import (
     ErrorSpec,
     SeedSpec,
     SingularityError,
+    SweepPlan,
     decode,
     lp_objective,
     make_instance,
+    trial_seeds,
     weighted_least_squares,
 )
+from lpdecode.decoder import _decode_trials
+from lpdecode.harness import _build_instance
 
 
 def test_lp_objective_zero_vector():
@@ -242,3 +251,151 @@ def test_decoder_config_validation():
         DecoderConfig(p=1.5)
     with pytest.raises(DomainError):
         DecoderConfig(p=0.5, restarts=0)
+
+
+@pytest.mark.parametrize(
+    "arg, c", [("a", 1e160), ("a", 1e-170), ("w", 1e300), ("w", 1e-300), ("y", 1e300)]
+)
+def test_wls_scale_across_float_range(arg, c):
+    # A^T W A squares the scale of A and carries that of w: unless the solve
+    # rescales them first, it overflows at a = 1e160 (pivot ratio nan) and
+    # underflows at a = 1e-170 (Cholesky fails) on this well-conditioned
+    # system
+    gen = np.random.default_rng(50)
+    args = {
+        "a": gen.standard_normal((50, 5)),
+        "y": gen.standard_normal(50),
+        "w": np.exp(gen.standard_normal(50)),
+    }
+    args[arg] = c * args[arg]
+    x = weighted_least_squares(args["a"], args["y"], args["w"])
+    ref = _scaled_lstsq(args["a"], args["y"], args["w"])
+    # max-abs, because the squared norm of ref overflows at a = 1e-170
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _reference_wls(a, y, w):
+    aw = a * w[:, None]
+    factor = cho_factor(a.T @ aw, check_finite=False)
+    return cho_solve(factor, aw.T @ y, check_finite=False)
+
+
+def _reference_decode(a, y, p, restarts=1, seed=None):
+    """The unbatched decoder: each restart runs its own IRLS loop, one
+    Cholesky factorisation and solve per iteration.  The batched kernel does
+    the same arithmetic, so its results must equal these bit for bit."""
+    ey = math.frexp(float(np.max(np.abs(y))))[1]
+    ea = math.frexp(float(np.max(np.abs(a))))[1]
+    ys, as_ = np.ldexp(y, -ey), np.ldexp(a, -ea)
+    s2 = float(np.mean(ys * ys))
+    m, n = a.shape
+    x0 = _reference_wls(as_, ys, np.ones(m))
+    gen = (seed or SeedSpec(0, 0)).generator()
+    best = None
+    for k in range(restarts):
+        x = x0
+        if k:
+            x = x0 + gen.standard_normal(n) * (0.1 * np.linalg.norm(x0) / math.sqrt(n))
+        trace, starts, eps, converged = [], [], 1.0, False
+        r = ys - as_ @ x
+        while True:
+            starts.append(len(trace))
+            settled = False
+            for _ in range(100):
+                w = (r * r + eps * s2) ** (p / 2 - 1)
+                x_new = _reference_wls(as_, ys, w)
+                r_new = ys - as_ @ x_new
+                trace.append(float(np.sum((r_new * r_new + eps * s2) ** (p / 2))))
+                denom = max(np.linalg.norm(x), np.linalg.norm(x_new))
+                step = np.linalg.norm(x_new - x) / denom if denom > 0 else 0.0
+                x, r = x_new, r_new
+                if step <= 1e-10:
+                    settled = True
+                    break
+            if eps <= 1e-8:
+                converged = settled
+                break
+            if len(starts) >= 12:
+                break
+            eps = max(eps * 0.1, 1e-8)
+        x = np.ldexp(x, ey - ea)
+        obj = lp_objective(y - a @ x, p)
+        if best is None or obj < best[1]:
+            scale = float(np.exp2(ey * p))
+            best = (x.tobytes(), obj, [t * scale for t in trace], len(trace), converged, starts)
+    return best
+
+
+def _key(res):
+    if isinstance(res, Exception):
+        return (type(res).__name__, str(res))
+    return (
+        res.x_hat.tobytes(),
+        res.objective,
+        res.objective_trace,
+        res.iterations,
+        res.converged,
+        res.phase_starts,
+    )
+
+
+def _cell_stack(regime, p, rho, trials, m, n, seed):
+    plan = SweepPlan(
+        m=m, n=n, p_values=(p,), rho_values=(rho,), trials=trials,
+        error_regime=regime, master_seed=seed,
+    )
+    insts = [
+        _build_instance(plan, p, rho, *trial_seeds(plan, 0, 0, t)[:2])
+        for t in range(trials)
+    ]
+    return np.stack([i.a for i in insts]), np.stack([i.y for i in insts])
+
+
+def test_batched_kernel_matches_single_runs_up_to_the_caps():
+    # p = 1 against adversarial errors at 200 x 20: the five trials finish
+    # at five different steps, and trial 3, the last to finish, ends
+    # non-converged at the inner cap of its last phase
+    a, y = _cell_stack("adversarial", 1.0, 0.2, 5, 200, 20, 1)
+    stacked = _decode_trials(a, y, 1.0)
+    assert len({r.iterations for r in stacked}) == 5
+    assert [r.converged for r in stacked] == [True, True, True, False, True]
+    for t, res in enumerate(stacked):
+        assert _key(res) == _key(_decode_trials(a[t : t + 1], y[t : t + 1], 1.0)[0])
+        assert _key(res) == _reference_decode(a[t], y[t], 1.0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    trials=st.sampled_from([1, 3, 5]),
+    p=st.floats(0.1, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_kernel_is_batch_invariant(trials, p, seed):
+    # each trial of a stack gives the bits it gives on its own
+    a, y = _cell_stack("arbitrary", p, 0.25, trials, 40, 4, seed)
+    stacked = _decode_trials(a, y, p)
+    for t in range(trials):
+        single = _decode_trials(a[t : t + 1], y[t : t + 1], p)[0]
+        assert _key(stacked[t]) == _key(single)
+        assert _key(single) == _key(decode(a[t], y[t], DecoderConfig(p=p)))
+
+
+def test_decode_restarts_are_the_best_single_run():
+    # the three restarts run as one stack that shares A; the result must be
+    # the best of the three run one at a time
+    inst = make_instance(50, 5, ErrorSpec(rho=0.3), SeedSpec(81, 0))
+    for p in (0.4, 1.0):
+        res = decode(inst.a, inst.y, DecoderConfig(p=p, restarts=3), seed=SeedSpec(2, 0))
+        ref = _reference_decode(inst.a, inst.y, p, restarts=3, seed=SeedSpec(2, 0))
+        assert _key(res) == ref
+
+
+def test_singular_trial_fails_alone():
+    a, y = _cell_stack("arbitrary", 0.5, 0.2, 4, 60, 6, 3)
+    a[2, :, 1] = a[2, :, 0]
+    stacked = _decode_trials(a, y, 0.5)
+    assert isinstance(stacked[2], SingularityError)
+    for t in (0, 1, 3):
+        assert _key(stacked[t]) == _key(decode(a[t], y[t], DecoderConfig(p=0.5)))
+    with pytest.raises(SingularityError):
+        decode(a[2], y[2], DecoderConfig(p=0.5))

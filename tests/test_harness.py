@@ -1,19 +1,26 @@
 """Monte Carlo sweeps, threshold fits, and concentration studies."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from lpdecode import (
+    DecoderConfig,
     DomainError,
     PhaseCell,
     SweepPlan,
     concentration_csv,
+    apply_decoder_success,
     concentration_study,
+    decode,
     estimate_threshold,
+    lp_objective,
     phase_csv,
     run_sweep,
     trial_seeds,
 )
+from lpdecode import harness
 
 
 def _cells(rates, rhos, p=0.5, trials=100):
@@ -256,3 +263,34 @@ def test_run_sweep_rejects_bad_jobs():
     plan = SweepPlan(m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=1)
     with pytest.raises(DomainError):
         run_sweep(plan, jobs=0)
+
+
+def test_singular_trial_logs_one_warning_and_leaves_the_others(monkeypatch, caplog):
+    # trial 2's A gets two equal columns; it fails alone, with one logged
+    # solver error, and the other trials of the stack decode as on their own
+    plan = SweepPlan(
+        m=60, n=6, p_values=(0.5,), rho_values=(0.2,), trials=4, master_seed=3
+    )
+    build = harness._build_instance
+    bad_seed = trial_seeds(plan, 0, 0, 2)[0]
+
+    def build_with_equal_columns(plan, p, rho, inst_seed, aux_seed):
+        inst = build(plan, p, rho, inst_seed, aux_seed)
+        if inst_seed == bad_seed:
+            inst.a[:, 1] = inst.a[:, 0]
+        return inst
+
+    monkeypatch.setattr(harness, "_build_instance", build_with_equal_columns)
+    with caplog.at_level(logging.WARNING, logger="lpdecode.harness"):
+        (cell,) = run_sweep(plan)
+    assert len(caplog.records) == 1
+    assert "trial=2" in caplog.records[0].getMessage()
+
+    insts = [build(plan, 0.5, 0.2, *trial_seeds(plan, 0, 0, t)[:2]) for t in (0, 1, 3)]
+    results = [decode(i.a, i.y, DecoderConfig(p=0.5)) for i in insts]
+    assert cell.trials == 4
+    assert cell.successes == sum(
+        apply_decoder_success(r.x_hat, i.f) for r, i in zip(results, insts)
+    )
+    gaps = [r.objective - lp_objective(i.e, 0.5) for r, i in zip(results, insts)]
+    assert cell.mean_objective_gap == float(np.mean(gaps))
