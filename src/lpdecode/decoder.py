@@ -9,12 +9,13 @@ within a phase.  eps is applied relative to the squared measurement scale
 iteration itself runs on y and A divided by powers of two, so that holds
 across the whole float range.
 
-One kernel, ``_irls``, runs IRLS on a stack of trials at once: the restarts
-of ``decode`` share one A, and a sweep cell stacks the A of each of its
-trials.  Every step is one batched Gram product and residual, then one
-LAPACK Cholesky factorisation and solve per trial; a trial that finishes
-stays in the stack, frozen, so every trial's result is bit-identical to a
-run on its own.
+One kernel, ``_irls``, runs IRLS on a stack of trials at once, and
+``_decode_stack`` scales each trial, starts it and scales its result back:
+the restarts of ``decode`` share one A, and a sweep cell stacks the A of
+its trials, a bounded number at a time.  Every step is one batched Gram
+product and residual, then one LAPACK Cholesky factorisation and solve per
+trial; a trial that finishes, or never starts, stays in the stack, frozen,
+so every trial's result is bit-identical to a run on its own.
 """
 
 from __future__ import annotations
@@ -163,18 +164,21 @@ def _norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _irls(a, y, p, x0, s2):
+def _irls(a, y, p, x0, s2, live):
     """IRLS from each row of x0 on a stack of trials: eps continuation around
     the inner reweighted loop, per trial.
 
-    a is (T, m, n) or (1, m, n), y is (T, m) or (1, m), x0 is (T, n) and s2
-    (T,) or (1,) is the squared measurement scale of each trial.  Returns
-    one (x, trace, iterations, converged, phase_starts) tuple per trial, or
-    the LpdecodeError that trial raised.  A trial that finishes or fails
+    a is (T, m, n) or (1, m, n), y is (T, m) or (1, m), x0 is (T, n), s2
+    (T,) is the squared measurement scale of each trial and live (T,) marks
+    the trials to run.  Returns one (x, trace, iterations, converged,
+    phase_starts) tuple per trial, the LpdecodeError that trial raised, or
+    None for a trial that was not live.  A trial that finishes or fails
     stays in the stack behind the ``live`` mask, never gathered out, and
     its result is taken at the step it finishes.
     """
     t_count, n = x0.shape
+    started = live
+    live = live.copy()
     x = x0
     r = y - (a @ x[..., None])[..., 0]
     eps = np.full(t_count, _EPS_START)
@@ -188,7 +192,6 @@ def _irls(a, y, p, x0, s2):
     phase_starts = np.zeros((t_count, _MAX_OUTER), dtype=np.int64)
     x_out = np.empty((t_count, n))
     converged = np.zeros(t_count, dtype=bool)
-    live = np.ones(t_count, dtype=bool)
     errors: dict[int, LpdecodeError] = {}
     k = 0
     while live.any():
@@ -225,7 +228,9 @@ def _irls(a, y, p, x0, s2):
 
     out = []
     for t in range(t_count):
-        if t in errors:
+        if not started[t]:
+            out.append(None)
+        elif t in errors:
             out.append(errors[t])
         elif not np.all(np.isfinite(x_out[t])):
             out.append(NumericError("IRLS iterate became non-finite"))
@@ -263,15 +268,16 @@ def _zero_result(n: int) -> DecodeResult:
     )
 
 
-def _result(a, y, p, run, ea, ey) -> DecodeResult:
-    """Scale one kernel run back to the original A and y."""
+def _result(a, y, p, run, ea, ey):
+    """Scale one kernel run back to the original A and y: a DecodeResult, or
+    the LpdecodeError of a run that failed."""
     if isinstance(run, LpdecodeError):
-        raise run
+        return run
     xs, trace, iterations, converged, phase_starts = run
     x = np.ldexp(xs, ey - ea)
     obj = lp_objective(y - a @ x, p)
     if not math.isfinite(obj):
-        raise NumericError("objective became non-finite")
+        return NumericError("objective became non-finite")
     trace_scale = float(np.exp2(ey * p))
     return DecodeResult(
         x_hat=x,
@@ -308,43 +314,43 @@ def decode(
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
         raise DomainError("a and y must be finite")
 
-    as_, ys, ea, ey, s2 = _scale(a[None], y[None])
-    if s2[0] == 0.0:
-        return _zero_result(n)
-    x0, failed = _solve(as_, np.ones((1, m)), ys)
-    if failed:
-        raise failed[0]
-    starts = [x0[0]]
-    if cfg.restarts > 1:
-        gen = (seed or SeedSpec(0, 0)).generator()
-        scale = 0.1 * np.linalg.norm(x0[0]) / math.sqrt(n)
-        starts += [x0[0] + gen.standard_normal(n) * scale for _ in range(cfg.restarts - 1)]
-
-    best = None
-    for run in _irls(as_, ys, cfg.p, np.array(starts), s2):
-        res = _result(a, y, cfg.p, run, ea[0], ey[0])
-        if best is None or res.objective < best.objective:
-            best = res
-    return best
+    runs = _decode_stack(a[None], y[None], cfg.p, cfg.restarts, seed)
+    for run in runs:
+        if isinstance(run, LpdecodeError):
+            raise run
+    return min(runs, key=lambda res: res.objective)
 
 
-def _decode_trials(a, y, p):
-    """``decode(a[t], y[t], DecoderConfig(p))`` for every trial of a stack of
-    finite inputs (a is (T, m, n), y is (T, m)), run as one batched IRLS.  A trial that
-    fails gets its LpdecodeError in place of its DecodeResult, and the other
-    trials' results do not change."""
+def _decode_stack(a, y, p, restarts=1, seed=None):
+    """Decode a stack of finite trials, a (T, m, n) and y (T, m), as one
+    batched IRLS: one run per trial, or, for a single trial, one run per
+    restart, started as ``decode`` describes.  Returns one DecodeResult per
+    run, or the LpdecodeError that run raised; a run that fails leaves the
+    others' results unchanged."""
     t_count, m, n = a.shape
     as_, ys, ea, ey, s2 = _scale(a, y)
     x0, failed = _solve(as_, np.ones((t_count, m)), ys)
-    out = [_zero_result(n) if s2[t] == 0.0 else failed.get(t) for t in range(t_count)]
-    live = [t for t in range(t_count) if out[t] is None]
-    if not live:
-        return out
-    # Gathering copies the stack, which only happens when a trial is out.
-    sel = live if len(live) < t_count else slice(None)
-    for t, run in zip(live, _irls(as_[sel], ys[sel], p, x0[sel], s2[sel])):
-        try:
-            out[t] = _result(a[t], y[t], p, run, ea[t], ey[t])
-        except LpdecodeError as exc:
-            out[t] = exc
+    src = np.arange(t_count)
+    if restarts > 1:
+        gen = (seed or SeedSpec(0, 0)).generator()
+        scale = 0.1 * np.linalg.norm(x0[0]) / math.sqrt(n)
+        x0 = np.array(
+            [x0[0]] + [x0[0] + gen.standard_normal(n) * scale for _ in range(restarts - 1)]
+        )
+        src = np.zeros(restarts, dtype=np.int64)
+    # A zero y or a failed first solve leaves its runs frozen from the first
+    # step; a stand-in scale of 1 keeps their unused weights finite.
+    runnable = s2 > 0
+    runnable[list(failed)] = False
+    live = runnable[src]
+    runs = _irls(as_, ys, p, x0, np.where(live, s2[src], 1.0), live)
+
+    out = []
+    for t, run in zip(src, runs):
+        if s2[t] == 0.0:
+            out.append(_zero_result(n))
+        elif t in failed:
+            out.append(failed[t])
+        else:
+            out.append(_result(a[t], y[t], p, run, ea[t], ey[t]))
     return out

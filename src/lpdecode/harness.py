@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import attack_arbitrary
-from .decoder import _decode_trials, lp_objective
+from .decoder import _decode_stack, lp_objective
 from .ensemble import (
     ErrorSpec,
     Instance,
@@ -34,6 +34,10 @@ log = logging.getLogger(__name__)
 
 _REGIMES = ("arbitrary", "fixed_sign", "adversarial")
 _LEVEL = 0.5
+# A cell decodes its trials in stacks of at most this many entries of A
+# (always at least one trial), so its memory does not grow with the number
+# of trials; each decoded stack holds about four copies of its A.
+_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -147,38 +151,46 @@ def _build_instance(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed) 
     return make_instance(m, n, ErrorSpec(rho=rho), inst_seed)
 
 
+def _outcomes(plan: SweepPlan, p_index: int, rho_index: int):
+    """Yield (trial, instance, result) for every trial of a cell, in trial
+    order, where result is a DecodeResult or the LpdecodeError the trial
+    raised (instance is None when building it failed).  The trials are
+    built and decoded in stacks of at most _STACK_ENTRIES entries of A."""
+    p = plan.p_values[p_index]
+    rho = plan.rho_values[rho_index]
+    size = max(1, _STACK_ENTRIES // (plan.m * plan.n))
+    for first in range(0, plan.trials, size):
+        trials = range(first, min(first + size, plan.trials))
+        instances, results = {}, {}
+        for trial in trials:
+            inst_seed, aux_seed, _ = trial_seeds(plan, p_index, rho_index, trial)
+            try:
+                instances[trial] = _build_instance(plan, p, rho, inst_seed, aux_seed)
+            except LpdecodeError as exc:
+                results[trial] = exc
+        if instances:
+            stack = instances.values()
+            decoded = _decode_stack(
+                np.stack([inst.a for inst in stack]), np.stack([inst.y for inst in stack]), p
+            )
+            results.update(zip(instances, decoded))
+        for trial in trials:
+            yield trial, instances.get(trial), results[trial]
+
+
 def _run_cell(plan: SweepPlan, p_index: int, rho_index: int) -> PhaseCell:
-    """Build the cell's instances and decode all of its trials as one stack."""
     p = plan.p_values[p_index]
     rho = plan.rho_values[rho_index]
 
     t0 = time.perf_counter()
-    outcomes: list = [None] * plan.trials
-    instances = {}
-    for trial in range(plan.trials):
-        inst_seed, aux_seed, _ = trial_seeds(plan, p_index, rho_index, trial)
-        try:
-            instances[trial] = _build_instance(plan, p, rho, inst_seed, aux_seed)
-        except LpdecodeError as exc:
-            outcomes[trial] = exc
-    if instances:
-        results = _decode_trials(
-            np.stack([inst.a for inst in instances.values()]),
-            np.stack([inst.y for inst in instances.values()]),
-            p,
-        )
-        for trial, result in zip(instances, results):
-            outcomes[trial] = result
-
     successes = 0
     gaps = []
-    for trial, result in enumerate(outcomes):
+    for trial, inst, result in _outcomes(plan, p_index, rho_index):
         if isinstance(result, LpdecodeError):
             log.warning(
                 "solver error at p=%g rho=%g trial=%d: %s", p, rho, trial, result
             )
             continue
-        inst = instances[trial]
         if apply_decoder_success(result.x_hat, inst.f):
             successes += 1
         gaps.append(result.objective - lp_objective(inst.e, p))

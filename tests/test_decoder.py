@@ -21,7 +21,7 @@ from lpdecode import (
     trial_seeds,
     weighted_least_squares,
 )
-from lpdecode.decoder import _decode_trials
+from lpdecode.decoder import _decode_stack
 from lpdecode.harness import _build_instance
 
 
@@ -356,11 +356,11 @@ def test_batched_kernel_matches_single_runs_up_to_the_caps():
     # at five different steps, and trial 3, the last to finish, ends
     # non-converged at the inner cap of its last phase
     a, y = _cell_stack("adversarial", 1.0, 0.2, 5, 200, 20, 1)
-    stacked = _decode_trials(a, y, 1.0)
+    stacked = _decode_stack(a, y, 1.0)
     assert len({r.iterations for r in stacked}) == 5
     assert [r.converged for r in stacked] == [True, True, True, False, True]
     for t, res in enumerate(stacked):
-        assert _key(res) == _key(_decode_trials(a[t : t + 1], y[t : t + 1], 1.0)[0])
+        assert _key(res) == _key(_decode_stack(a[t : t + 1], y[t : t + 1], 1.0)[0])
         assert _key(res) == _reference_decode(a[t], y[t], 1.0)
 
 
@@ -373,9 +373,9 @@ def test_batched_kernel_matches_single_runs_up_to_the_caps():
 def test_batched_kernel_is_batch_invariant(trials, p, seed):
     # each trial of a stack gives the bits it gives on its own
     a, y = _cell_stack("arbitrary", p, 0.25, trials, 40, 4, seed)
-    stacked = _decode_trials(a, y, p)
+    stacked = _decode_stack(a, y, p)
     for t in range(trials):
-        single = _decode_trials(a[t : t + 1], y[t : t + 1], p)[0]
+        single = _decode_stack(a[t : t + 1], y[t : t + 1], p)[0]
         assert _key(stacked[t]) == _key(single)
         assert _key(single) == _key(decode(a[t], y[t], DecoderConfig(p=p)))
 
@@ -391,10 +391,14 @@ def test_decode_restarts_are_the_best_single_run():
 
 
 def test_singular_trial_fails_alone():
+    # trial 2 is singular and trial 1 has y = 0: both stay frozen from the
+    # first step, and every trial gets what decode gives it on its own
     a, y = _cell_stack("arbitrary", 0.5, 0.2, 4, 60, 6, 3)
     a[2, :, 1] = a[2, :, 0]
-    stacked = _decode_trials(a, y, 0.5)
+    y[1] = 0.0
+    stacked = _decode_stack(a, y, 0.5)
     assert isinstance(stacked[2], SingularityError)
+    assert stacked[1].iterations == 0 and not stacked[1].x_hat.any()
     for t in (0, 1, 3):
         assert _key(stacked[t]) == _key(decode(a[t], y[t], DecoderConfig(p=0.5)))
     with pytest.raises(SingularityError):

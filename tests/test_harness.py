@@ -294,3 +294,26 @@ def test_singular_trial_logs_one_warning_and_leaves_the_others(monkeypatch, capl
     )
     gaps = [r.objective - lp_objective(i.e, 0.5) for r, i in zip(results, insts)]
     assert cell.mean_objective_gap == float(np.mean(gaps))
+
+
+def test_cell_stacks_are_bounded_and_do_not_change_results(monkeypatch):
+    # a cell decodes its trials in stacks of at most _STACK_ENTRIES entries
+    # of A; the stack size changes neither the cell's memory bound nor a digit
+    plan = SweepPlan(
+        m=40, n=4, p_values=(0.5, 1.0), rho_values=(0.1, 0.3), trials=7,
+        error_regime="adversarial", master_seed=2,
+    )
+    whole = phase_csv(run_sweep(plan))
+    decode_stack = harness._decode_stack
+    sizes = []
+
+    def recording(a, y, p):
+        sizes.append(len(a))
+        return decode_stack(a, y, p)
+
+    monkeypatch.setattr(harness, "_decode_stack", recording)
+    for entries, per_cell in ((1, [1] * 7), (3 * 40 * 4, [3, 3, 1]), (1 << 20, [7])):
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", entries)
+        sizes.clear()
+        assert phase_csv(run_sweep(plan)) == whole
+        assert sizes == per_cell * 4
