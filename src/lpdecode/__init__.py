@@ -40,16 +40,7 @@ from .ensemble import (
     write_instance,
 )
 from .errors import DomainError, LpdecodeError, NumericError, SingularityError
-from .halfnormal import (
-    DEFAULT_QUADRATURE,
-    MomentQuery,
-    QuadratureConfig,
-    cdf,
-    log_moment_integrals,
-    mu,
-    pdf,
-    tail_moment,
-)
+from .halfnormal import cdf, mu, pdf
 from .harness import (
     ConcentrationReport,
     PhaseCell,
@@ -81,17 +72,14 @@ __all__ = [
     "ConcentrationReport",
     "ConditionQuery",
     "CurveRequest",
-    "DEFAULT_QUADRATURE",
     "DecodeResult",
     "DecoderConfig",
     "DomainError",
     "ErrorSpec",
     "Instance",
     "LpdecodeError",
-    "MomentQuery",
     "NumericError",
     "PhaseCell",
-    "QuadratureConfig",
     "SeedSpec",
     "SingularityError",
     "SweepPlan",
@@ -113,7 +101,6 @@ __all__ = [
     "floor_count",
     "gaussian_matrix",
     "generator_from",
-    "log_moment_integrals",
     "lp_objective",
     "make_instance",
     "mc_threshold_oracle",
@@ -130,7 +117,6 @@ __all__ = [
     "solve_zstar",
     "splitmix64",
     "support_margin",
-    "tail_moment",
     "trial_seeds",
     "unsigned_margin",
     "weighted_least_squares",

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .ensemble import SeedSpec
-from .errors import DomainError, LpdecodeError, NumericError, SingularityError
+from .errors import DomainError, LpdecodeError, NumericError, SingularityError, _require_int
 
 
 _EPS_START = 1.0
@@ -50,6 +50,7 @@ class DecoderConfig:
     def __post_init__(self):
         if not (0 < self.p <= 1):
             raise DomainError(f"p must lie in (0, 1], got {self.p}")
+        _require_int("restarts", self.restarts)
         if self.restarts < 1:
             raise DomainError("restarts must be at least 1")
 
@@ -144,6 +145,8 @@ def weighted_least_squares(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.nd
     m, n = a.shape
     if y.shape != (m,) or w.shape != (m,):
         raise DomainError(f"shape mismatch: a is {a.shape}, y is {y.shape}, w is {w.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
+        raise DomainError("a and y must be finite")
     if not np.all(np.isfinite(w)) or np.any(w <= 0):
         raise DomainError("weights must be finite and strictly positive")
 

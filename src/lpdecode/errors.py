@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all lpdecode modules."""
+"""Exception hierarchy shared by all lpdecode modules, and its integer check."""
+
+import operator
 
 
 class LpdecodeError(Exception):
@@ -15,3 +17,11 @@ class SingularityError(LpdecodeError):
 
 class NumericError(LpdecodeError):
     """A computation produced non-finite values or failed to reach its tolerance."""
+
+
+def _require_int(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is an integer (NumPy integers included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None

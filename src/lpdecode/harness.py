@@ -26,7 +26,7 @@ from .ensemble import (
     floor_count,
     make_instance,
 )
-from .errors import DomainError, LpdecodeError
+from .errors import DomainError, LpdecodeError, _require_int
 from .halfnormal import mu
 from .seeding import mix64
 
@@ -55,6 +55,8 @@ class SweepPlan:
     def __post_init__(self):
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
+        for name in ("m", "n", "trials"):
+            _require_int(name, getattr(self, name))
         if self.n < 1 or self.m < self.n:
             raise DomainError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if not self.p_values or not self.rho_values:

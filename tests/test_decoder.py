@@ -82,6 +82,15 @@ def test_wls_validates_weights_and_shapes():
         weighted_least_squares(a, np.ones(4), np.ones(3))
 
 
+@pytest.mark.parametrize("where", ["a", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wls_rejects_non_finite_inputs(where, bad):
+    args = {"a": np.ones((3, 1)), "y": np.ones(3), "w": np.ones(3)}
+    args[where][1] = bad
+    with pytest.raises(DomainError, match="a and y must be finite"):
+        weighted_least_squares(**args)
+
+
 def _scaled_lstsq(a, y, w):
     sw = np.sqrt(w)
     return np.linalg.lstsq(a * sw[:, None], y * sw, rcond=None)[0]

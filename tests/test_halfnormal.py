@@ -1,25 +1,33 @@
-"""Half-normal density, cdf, and truncated p-th moments."""
+"""Half-normal density, cdf and moments, and the quadrature oracle they are
+checked against."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import digamma
 
-from lpdecode import (
-    DEFAULT_QUADRATURE,
-    DomainError,
-    MomentQuery,
-    QuadratureConfig,
-    cdf,
-    mu,
-    pdf,
-    tail_moment,
-)
-from lpdecode.halfnormal import log_moment_integrals, tail_moment_p1_closed_form
+import lpdecode
+from lpdecode import DomainError, cdf, mu, pdf
+from quadrature_oracle import TOL, Z_MAX, log_moment_integrals, tail_moment
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # a fresh interpreter: this one has loaded it for the oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lpdecode.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, lpdecode; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_pdf_at_zero():
@@ -70,7 +78,7 @@ def test_mu_p2_is_unit_variance():
 
 @pytest.mark.parametrize("p", [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
 def test_mu_matches_gamma_closed_form(p):
-    np.testing.assert_allclose(mu(p), tail_moment(MomentQuery(p=p, t=0.0)), rtol=1e-10)
+    np.testing.assert_allclose(mu(p), tail_moment(p, 0.0), rtol=1e-10)
 
 
 def test_mu_half_matches_monte_carlo():
@@ -87,32 +95,29 @@ def test_mu_rejects_out_of_range_p():
 
 
 def test_tail_moment_at_zero_is_mu():
-    assert tail_moment(MomentQuery(p=1.0, t=0.0)) == pytest.approx(
-        SQRT_2_OVER_PI, abs=1e-9
-    )
+    assert tail_moment(1.0, 0.0) == pytest.approx(SQRT_2_OVER_PI, abs=1e-9)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_tail_moment_p1_closed_form(t):
     np.testing.assert_allclose(
-        tail_moment(MomentQuery(p=1.0, t=t)),
-        tail_moment_p1_closed_form(t),
+        tail_moment(1.0, t),
+        SQRT_2_OVER_PI * math.exp(-0.5 * t * t),
         atol=1e-9,
     )
 
 
 def test_tail_moment_beyond_cutoff_is_zero():
-    q = MomentQuery(p=0.5, t=DEFAULT_QUADRATURE.z_max + 1.0)
-    assert tail_moment(q) == 0.0
+    assert tail_moment(0.5, Z_MAX + 1.0) == 0.0
     # the mass actually dropped is below the advertised tolerance
-    dropped, _ = quad(lambda z: z**0.5 * pdf(z), DEFAULT_QUADRATURE.z_max + 1.0, 60.0)
-    assert dropped < DEFAULT_QUADRATURE.abs_tol
+    dropped, _ = quad(lambda z: z**0.5 * pdf(z), Z_MAX + 1.0, 60.0)
+    assert dropped < TOL
 
 
 @pytest.mark.parametrize("p", [0.05, 0.3, 0.9])
 def test_tail_moment_decreasing_in_t(p):
     ts = [0.0, 0.2, 0.5, 1.0, 2.0, 4.0]
-    vals = [tail_moment(MomentQuery(p=p, t=t)) for t in ts]
+    vals = [tail_moment(p, t) for t in ts]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -121,8 +126,8 @@ def test_tail_moment_continuous_at_series_split(p):
     # the evaluation switches from a power series to quadrature at t = 1e-3;
     # values straddling the switch must differ by exactly the strip's mass
     lo, hi = 1e-3 - 1e-9, 1e-3 + 1e-9
-    below = tail_moment(MomentQuery(p=p, t=lo))
-    above = tail_moment(MomentQuery(p=p, t=hi))
+    below = tail_moment(p, lo)
+    above = tail_moment(p, hi)
     strip, _ = quad(lambda z: z**p * pdf(z), lo, hi)
     np.testing.assert_allclose(below - above, strip, rtol=1e-6, atol=1e-14)
 
@@ -131,21 +136,7 @@ def test_tail_moment_small_p_against_direct_quadrature():
     # scipy handles the integrable x^p singularity directly; cross-check
     p = 0.01
     direct, _ = quad(lambda z: z**p * pdf(z), 0.0, 10.0, limit=300)
-    np.testing.assert_allclose(tail_moment(MomentQuery(p=p, t=0.0)), direct, rtol=1e-10)
-
-
-def test_moment_query_validation():
-    with pytest.raises(DomainError):
-        MomentQuery(p=0.0, t=0.0)
-    with pytest.raises(DomainError):
-        MomentQuery(p=2.1, t=0.0)
-    with pytest.raises(DomainError):
-        MomentQuery(p=0.5, t=-1.0)
-
-
-def test_quadrature_config_rejects_small_cutoff():
-    with pytest.raises(DomainError):
-        QuadratureConfig(z_max=7.0)
+    np.testing.assert_allclose(tail_moment(p, 0.0), direct, rtol=1e-10)
 
 
 def test_log_moment_integrals_match_monte_carlo():
@@ -179,8 +170,3 @@ def test_log_moment_integrals_additive_in_split_point():
     lower_b, _ = log_moment_integrals(p, b)
     bridge, _ = quad(lambda z: z**p * np.log(z) * pdf(z), a, b)
     np.testing.assert_allclose(lower_a + bridge, lower_b, atol=1e-10)
-
-
-def test_log_moment_integrals_reject_bad_p():
-    with pytest.raises(DomainError):
-        log_moment_integrals(1.5, 1.0)

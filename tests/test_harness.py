@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lpdecode import (
+    CurveRequest,
     DecoderConfig,
     DomainError,
     PhaseCell,
@@ -21,6 +22,22 @@ from lpdecode import (
     trial_seeds,
 )
 from lpdecode import harness
+
+INTEGER_FIELDS = {
+    "restarts": lambda v: DecoderConfig(p=0.5, restarts=v),
+    "m": lambda v: SweepPlan(m=v, n=2, p_values=(0.5,), rho_values=(0.1,), trials=1),
+    "n": lambda v: SweepPlan(m=20, n=v, p_values=(0.5,), rho_values=(0.1,), trials=1),
+    "trials": lambda v: SweepPlan(m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=v),
+    "steps": lambda v: CurveRequest(p_min=0.1, p_max=0.5, steps=v),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("bad", [2.5, float("nan"), "3"])
+def test_integer_fields_reject_non_integers(field, bad):
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        INTEGER_FIELDS[field](bad)
+    INTEGER_FIELDS[field](np.int64(3))
 
 
 def _cells(rates, rhos, p=0.5, trials=100):

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import quadrature_oracle
 from lpdecode import (
     CurveRequest,
     DomainError,
-    MomentQuery,
     ThresholdPoint,
     curve,
     curve_csv,
@@ -17,7 +17,6 @@ from lpdecode import (
     mu,
     rho_star,
     solve_zstar,
-    tail_moment,
 )
 
 # Values frozen from independent evaluations (closed forms where available,
@@ -54,7 +53,7 @@ def test_zstar_small_p_approaches_median():
 def test_zstar_residual_is_zero(p):
     z = solve_zstar(p)
     g0 = mu(p)
-    resid = tail_moment(MomentQuery(p=p, t=z)) - 0.5 * g0
+    resid = quadrature_oracle.tail_moment(p, z) - 0.5 * g0
     assert abs(resid) <= 1e-9 * g0
 
 
@@ -97,12 +96,35 @@ def test_drho_dp_matches_finite_difference():
 def test_drho_dp_numerator_negative():
     # lower - upper < 0 given the half-total equation; equivalent to the
     # derivative being negative since the denominator 2 z*^p is positive
-    from lpdecode.halfnormal import log_moment_integrals
-
     for p in (0.3, 0.6, 1.0):
         z = solve_zstar(p)
-        lower, upper = log_moment_integrals(p, z)
+        lower, upper = quadrature_oracle.log_moment_integrals(p, z)
         assert lower - upper < 0
+
+
+# Small p, where the series and the ln singularity matter most, and the grid
+# of the documented 200-point curve.
+ORACLE_GRID = np.concatenate([np.geomspace(1e-6, 1e-2, 20), np.linspace(0.005, 1, 200)])
+
+
+def test_drho_dp_matches_quadrature_oracle():
+    for p in map(float, ORACLE_GRID):
+        expected = quadrature_oracle.drho_dp(p, solve_zstar(p))
+        np.testing.assert_allclose(drho_dp(p), expected, rtol=1e-12, err_msg=f"p={p}")
+
+
+def test_curve_csv_matches_quadrature_oracle_bytes():
+    pts = curve(CurveRequest(p_min=0.005, p_max=1.0, steps=200, with_derivative=True))
+    by_oracle = [
+        ThresholdPoint(
+            p=pt.p,
+            z_star=pt.z_star,
+            rho_star=pt.rho_star,
+            drho_dp=quadrature_oracle.drho_dp(pt.p, pt.z_star),
+        )
+        for pt in pts
+    ]
+    assert curve_csv(pts) == curve_csv(by_oracle)
 
 
 def test_curve_endpoints_and_monotonicity():
