@@ -31,13 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import SeedSpec, ceil_count
-from .errors import DomainError, NumericError
+from .decoder import _norms
+from .errors import DomainError, NumericError, _require_int
 
 _SEARCH_STEPS = 500
 _STEP_SCALE = 0.3
 _GRAD_FLOOR = 1e-8
 _HEAD_SCALE = 10.0
-_GRID_BLOCK_ENTRIES = 2**14
+# Entries of A Z per block of directions: the brute-force grid's blocks and
+# the search's stacks of restarts.
+_BLOCK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +65,8 @@ class ConditionQuery:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 2 or a.shape[1] < 1 or a.shape[0] < a.shape[1]:
             raise DomainError(f"a must be m x n with m >= n >= 1, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise DomainError("a must be finite")
         object.__setattr__(self, "a", a)
         if not (0 < self.p <= 1):
             raise DomainError(f"p must lie in (0, 1], got {self.p}")
@@ -79,6 +84,8 @@ class ConditionQuery:
             z = np.asarray(self.z, dtype=float)
             if z.shape != (a.shape[1],):
                 raise DomainError(f"z must have length n={a.shape[1]}, got shape {z.shape}")
+            if not np.all(np.isfinite(z)):
+                raise DomainError("z must be finite")
             object.__setattr__(self, "z", z)
 
 
@@ -98,6 +105,8 @@ def _check_direction(a: np.ndarray, z) -> np.ndarray:
         raise DomainError(f"z must have length n={a.shape[1]}, got shape {z.shape}")
     if not np.any(z):
         raise DomainError("direction z must be nonzero")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(z))):
+        raise DomainError("a and z must be finite")
     return z
 
 
@@ -130,23 +139,45 @@ def _check_support(m: int, support, signs: dict[int, int] | None = None):
     return t, sgn
 
 
+def _top_k(absv: np.ndarray, k: int) -> np.ndarray:
+    """Mask of T, the k largest entries of each row (last axis) of absv, ties
+    going to the lower index: the set ``np.argsort(-absv, kind="stable")[..., :k]``
+    picks, found with one partition instead of a sort.
+
+    tau is the k-th largest entry of a row; T holds every entry above tau and
+    the lowest-index entries equal to tau, up to k in all.  Rows hold no NaN:
+    every public entry point rejects a non-finite A or z.
+    """
+    m = absv.shape[-1]
+    if k == 0:
+        return np.zeros(absv.shape, dtype=bool)
+    tau = np.partition(absv, m - k, axis=-1)[..., m - k, None]
+    t = absv >= tau
+    # Each row has exactly k entries >= tau unless ties at tau run past k.
+    if np.count_nonzero(t) == k * (t.size // m):
+        return t
+    above = absv > tau
+    tied = t & ~above
+    room = k - np.count_nonzero(above, axis=-1, keepdims=True)
+    return above | (tied & (np.cumsum(tied, axis=-1) <= room))
+
+
 def _coefficients(v: np.ndarray, k: int = 0, sgn=None, support=None) -> np.ndarray:
     """Coefficients c of the margin sum_i c_i |v_i|^p, for v of shape (m,) or
-    (m, K) (one column per direction).
+    (R, m) (one row per direction).
 
     Signed condition (``sgn`` is the length-m sign vector, 0 off the support):
     +1 off the support, -1 on T- (entries opposing their sign), 0 on the rest
     of the support.  Unsigned condition: -1 on T and +1 off it, where T is
-    ``support`` when given and otherwise the k largest |v_i| of each column,
-    ties going to the lower index.
+    ``support`` when given (v of shape (m,) only) and otherwise the k largest
+    |v_i| of each row, ties going to the lower index (``_top_k``).
     """
     if sgn is not None:
-        s = sgn[:, None] if v.ndim == 2 else sgn
-        return np.where(s == 0, 1.0, np.where(v * s < 0, -1.0, 0.0))
+        return np.subtract(sgn == 0, v * sgn < 0, dtype=float)
     if support is None:
-        support = np.argsort(-np.abs(v), axis=0, kind="stable")[:k]
+        return np.where(_top_k(np.abs(v), k), -1.0, 1.0)
     coef = np.ones(v.shape)
-    np.put_along_axis(coef, support, -1.0, axis=0)
+    coef[support] = -1.0
     return coef
 
 
@@ -181,19 +212,58 @@ def _query_coefficients(q: ConditionQuery, v: np.ndarray) -> np.ndarray:
     return _coefficients(v, sgn=q._sgn)
 
 
-def _margin_and_subgrad(q: ConditionQuery, z: np.ndarray) -> tuple[float, np.ndarray]:
-    """Evaluate the mode's margin and one subgradient at z."""
+def _margins_and_subgrads(q: ConditionQuery, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mode's margin and one subgradient at each row of z, (R, n).
+
+    Every product is one BLAS GEMV or DOT per row on C-contiguous operands,
+    as in the one-direction code, so a row's bits do not depend on the stack.
+    """
     a, p = q.a, q.p
-    v = a @ z
+    v = (a @ z[:, :, None])[:, :, 0]
     absv = np.abs(v)
     pw = absv**p
     # |v|^(p-1) blows up at v = 0 for p < 1; floor it relative to the scale.
-    floor = _GRAD_FLOOR * (absv.max() + 1e-300)
+    floor = _GRAD_FLOOR * (absv.max(axis=1, keepdims=True) + 1e-300)
     dfac = p * np.maximum(absv, floor) ** (p - 1.0) * np.sign(v)
     coef = _query_coefficients(q, v)
-    margin = float(np.dot(coef, pw))
-    grad = a.T @ (coef * dfac)
-    return margin, grad
+    margins = (coef[:, None, :] @ pw[:, :, None])[:, 0, 0]
+    grads = (a.T @ (coef * dfac)[:, :, None])[:, :, 0]
+    return margins, grads
+
+
+def _descend(q: ConditionQuery, z: np.ndarray) -> tuple[float, np.ndarray]:
+    """Run the descent from every row of z at once, as one stack.
+
+    Returns the best margin seen and its direction: the first row, and then
+    the first step, that attains it.  A row whose subgradient vanishes stays
+    where it is, as the one-restart loop stopped there.
+    """
+    restarts = len(z)
+    best_margin = np.full(restarts, math.inf)
+    best_z = z.copy()
+    for t in range(_SEARCH_STEPS + 1):
+        margins, grads = _margins_and_subgrads(q, z)
+        better = margins < best_margin
+        if np.count_nonzero(better):
+            np.copyto(best_margin, margins, where=better)
+            np.copyto(best_z, z, where=better[:, None])
+        if t == _SEARCH_STEPS:
+            break
+        gn = _norms(grads)[:, None]
+        # The mask of stopped rows is only built once some row has stopped.
+        live = np.count_nonzero(gn)
+        if live == 0:
+            break
+        if live < restarts:
+            stuck = gn == 0.0
+            gn[stuck] = 1.0
+        z_new = z - (_STEP_SCALE / math.sqrt(t + 1.0)) * grads / gn
+        z_new /= _norms(z_new)[:, None]
+        if live < restarts:
+            np.copyto(z_new, z, where=stuck)
+        z = z_new
+    r = int(np.argmin(best_margin))
+    return float(best_margin[r]), best_z[r]
 
 
 def search_violation(
@@ -203,39 +273,38 @@ def search_violation(
 ) -> CertifyReport:
     """Projected subgradient descent on the unit sphere hunting margin < 0.
 
-    Each restart runs a fixed number of steps with a diminishing step size;
-    the report keeps the best margin seen anywhere.  ``q.z``, when present,
-    seeds the first restart.  A negative minimum is a certified violation
+    Each restart runs a fixed number of steps with a diminishing step size.
+    The restarts move together in stacks of up to 2^14 / m of them (one
+    stack at the usual sizes; the bound keeps memory from growing with
+    ``restarts``), and T is picked by a partition (``_top_k``).  The report
+    keeps the best margin seen anywhere, the first restart and then the
+    first step that attains it.  ``q.z``, when present, seeds the first
+    restart.  A negative minimum is a certified violation
     (the witness direction reproduces it); a non-negative minimum is only
-    evidence, since the search is not exhaustive.
+    evidence, since the search is not exhaustive.  NumericError when no
+    margin was below +inf (A z overflowed everywhere).
     """
+    _require_int("restarts", restarts)
     if restarts < 1:
         raise DomainError("restarts must be at least 1")
     gen = (seed or SeedSpec(0, 0)).generator()
-    n = q.a.shape[1]
+    m, n = q.a.shape
+    size = max(1, _BLOCK_ENTRIES // m)
 
-    best_margin = math.inf
-    best_z = None
-    for r in range(restarts):
-        if r == 0 and q.z is not None and np.any(q.z):
-            z = q.z / np.linalg.norm(q.z)
-        else:
-            z = gen.standard_normal(n)
-            z /= np.linalg.norm(z)
-        for t in range(_SEARCH_STEPS):
-            margin, grad = _margin_and_subgrad(q, z)
-            if margin < best_margin:
-                best_margin = margin
-                best_z = z.copy()
-            gn = np.linalg.norm(grad)
-            if gn == 0.0:
-                break
-            z = z - (_STEP_SCALE / math.sqrt(t + 1.0)) * grad / gn
-            z /= np.linalg.norm(z)
-        margin, _ = _margin_and_subgrad(q, z)
+    best_margin, best_z = math.inf, None
+    for first in range(0, restarts, size):
+        z = np.empty((min(size, restarts - first), n))
+        for r in range(len(z)):
+            if first + r == 0 and q.z is not None and np.any(q.z):
+                z[r] = q.z / np.linalg.norm(q.z)
+            else:
+                z[r] = gen.standard_normal(n)
+                z[r] /= np.linalg.norm(z[r])
+        margin, witness = _descend(q, z)
         if margin < best_margin:
-            best_margin = margin
-            best_z = z.copy()
+            best_margin, best_z = margin, witness
+    if best_z is None:
+        raise NumericError("every margin of the search was NaN or +inf")
     return CertifyReport(
         min_margin=best_margin,
         witness=best_z,
@@ -269,14 +338,15 @@ def brute_force_min_margin(
         )
         theta, phi = theta.ravel(), phi.ravel()
         z = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-    # Column blocks of about _GRID_BLOCK_ENTRIES entries of A z bound the m x K
+    # Column blocks of about _BLOCK_ENTRIES entries of A z bound the m x K
     # temporaries; one product over a whole n = 3 grid at resolution 0.05 and
     # m = 30 raised peak memory by 6 MB.
-    step = max(1, _GRID_BLOCK_ENTRIES // q.a.shape[0])
+    step = max(1, _BLOCK_ENTRIES // q.a.shape[0])
     margins = np.empty(z.shape[1])
     for j in range(0, z.shape[1], step):
         v = q.a @ z[:, j : j + step]
-        margins[j : j + step] = np.einsum("ij,ij->j", _query_coefficients(q, v), np.abs(v) ** q.p)
+        coef = _query_coefficients(q, v.T).T
+        margins[j : j + step] = np.einsum("ij,ij->j", coef, np.abs(v) ** q.p)
     best = int(np.argmin(margins))
     return float(margins[best]), z[:, best].copy()
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .seeding import generator_from
 
 # Guard against 0.29*100 = 28.999999999999996-style float droop in k = floor(rho*m).
@@ -42,6 +42,8 @@ class SeedSpec:
     stream_id: int = 0
 
     def __post_init__(self):
+        _require_int("master_seed", self.master_seed)
+        _require_int("stream_id", self.stream_id)
         if self.stream_id < 0:
             raise DomainError(f"stream_id must be non-negative, got {self.stream_id}")
 
@@ -127,10 +129,16 @@ class Instance:
                 raise DomainError(f"sign map disagrees with e at index {i}")
 
 
-def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
-    """m x n matrix of i.i.d. N(0,1) entries from the seeded stream (m >= n)."""
+def _check_shape(m: int, n: int) -> None:
+    _require_int("m", m)
+    _require_int("n", n)
     if n < 1 or m < n:
         raise DomainError(f"coding model requires m >= n >= 1, got m={m}, n={n}")
+
+
+def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
+    """m x n matrix of i.i.d. N(0,1) entries from the seeded stream (m >= n)."""
+    _check_shape(m, n)
     return seed.generator().standard_normal((m, n))
 
 
@@ -162,8 +170,7 @@ def make_instance(
     the matrix, support and error are identical to the ``gaussian`` instance
     with the same seed; success conditions must not notice the difference.
     """
-    if n < 1 or m < n:
-        raise DomainError(f"coding model requires m >= n >= 1, got m={m}, n={n}")
+    _check_shape(m, n)
     if f_mode not in ("gaussian", "zero"):
         raise DomainError(f"unknown f_mode {f_mode!r}")
 

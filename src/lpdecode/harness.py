@@ -55,7 +55,7 @@ class SweepPlan:
     def __post_init__(self):
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
-        for name in ("m", "n", "trials"):
+        for name in ("m", "n", "trials", "master_seed"):
             _require_int(name, getattr(self, name))
         if self.n < 1 or self.m < self.n:
             raise DomainError(f"need m >= n >= 1, got m={self.m}, n={self.n}")

@@ -151,6 +151,8 @@ def mc_threshold_oracle(p: float, m: int, seed: int) -> float:
     """
     if not (math.isfinite(p) and 0 < p <= 1):
         raise DomainError(f"mc_threshold_oracle requires p in (0, 1], got {p}")
+    _require_int("m", m)
+    _require_int("seed", seed)
     if m < 10_000:
         raise DomainError(f"need m >= 10^4 for a meaningful estimate, got {m}")
     gen = generator_from(seed, 0)

@@ -6,10 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lpdecode import (
     ConditionQuery,
     DomainError,
+    NumericError,
     SeedSpec,
     attack_arbitrary,
     attack_fixed_sign,
@@ -22,6 +26,9 @@ from lpdecode import (
     support_margin,
     unsigned_margin,
 )
+from lpdecode import certify
+from lpdecode.certify import _coefficients
+from lpdecode.ensemble import draw_support_signs
 
 
 def test_unsigned_margin_worked_example():
@@ -476,3 +483,176 @@ def test_report_json_contents():
     payload2 = json.loads(report_json(rep2, q2))
     assert payload2["rho"] == pytest.approx(3 / 20)
     assert payload2["mode"] == "signed"
+
+
+def _stable_coefficients(v, k):
+    """Unsigned coefficients with T from a stable argsort, ties to the lower index."""
+    coef = np.ones(v.shape)
+    np.put_along_axis(coef, np.argsort(-np.abs(v), axis=-1, kind="stable")[..., :k], -1.0, axis=-1)
+    return coef
+
+
+def _reference_margin_and_subgrad(q, z):
+    v = q.a @ z
+    absv = np.abs(v)
+    pw = absv**q.p
+    floor = 1e-8 * (absv.max() + 1e-300)
+    dfac = q.p * np.maximum(absv, floor) ** (q.p - 1.0) * np.sign(v)
+    if q.mode == "unsigned":
+        coef = _stable_coefficients(v, math.ceil(q.rho * q.a.shape[0] - 1e-9))
+    else:
+        sgn = np.zeros(q.a.shape[0])
+        sgn[q.support] = [q.signs[int(i)] for i in q.support]
+        coef = np.where(sgn == 0, 1.0, np.where(v * sgn < 0, -1.0, 0.0))
+    return float(np.dot(coef, pw)), q.a.T @ (coef * dfac)
+
+
+def _reference_search(q, restarts, seed):
+    """The violation search one restart and one step at a time, with T from a
+    stable argsort: the loop the stacked search must match bit for bit.
+
+    Yields (best margin, witness) after each restart, which is the result of
+    a search with that many restarts, since restart r's start does not depend
+    on how many follow."""
+    gen = seed.generator()
+    n = q.a.shape[1]
+    best_margin, best_z = math.inf, None
+    for r in range(restarts):
+        if r == 0 and q.z is not None and np.any(q.z):
+            z = q.z / np.linalg.norm(q.z)
+        else:
+            z = gen.standard_normal(n)
+            z /= np.linalg.norm(z)
+        for t in range(500):
+            margin, grad = _reference_margin_and_subgrad(q, z)
+            if margin < best_margin:
+                best_margin, best_z = margin, z.copy()
+            gn = np.linalg.norm(grad)
+            if gn == 0.0:
+                break
+            z = z - (0.3 / math.sqrt(t + 1.0)) * grad / gn
+            z /= np.linalg.norm(z)
+        margin, _ = _reference_margin_and_subgrad(q, z)
+        if margin < best_margin:
+            best_margin, best_z = margin, z.copy()
+        yield best_margin, best_z
+
+
+def _assert_same_bits(rep, reference):
+    margin, witness = reference
+    assert np.float64(rep.min_margin).tobytes() == np.float64(margin).tobytes()
+    assert rep.witness.tobytes() == witness.tobytes()
+    assert rep.violated == (margin < 0)
+
+
+@pytest.mark.parametrize("hint", [False, True], ids=["random_starts", "hint"])
+@pytest.mark.parametrize("p", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("mode", ["unsigned", "signed"])
+def test_stacked_search_matches_sequential_reference(mode, p, hint):
+    m, n = 40, 4
+    a = gaussian_matrix(m, n, SeedSpec(130, 0))
+    z = None
+    if hint:
+        # integer rows and an integer start tie many |A z| entries at once
+        a, z = np.round(2 * a), np.ones(n)
+    if mode == "unsigned":
+        q = ConditionQuery(a=a, p=p, mode="unsigned", rho=0.35, z=z)
+    else:
+        support, signs = draw_support_signs(m, 0.5, SeedSpec(131, 0))
+        q = ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs, z=z)
+    reference = list(_reference_search(q, 8, SeedSpec(132, 0)))
+    for restarts in (1, 3, 8):
+        rep = search_violation(q, restarts=restarts, seed=SeedSpec(132, 0))
+        _assert_same_bits(rep, reference[restarts - 1])
+
+
+def test_restart_with_zero_subgradient_stays_while_others_continue():
+    # full support with the signs of A z0: nothing opposes at z0, so every
+    # coefficient and the subgradient there are 0 and restart 0 stops at once
+    a = gaussian_matrix(30, 3, SeedSpec(133, 0))
+    z0 = np.array([0.6, -0.8, 0.0])
+    support = np.arange(30)
+    signs = {i: int(s) for i, s in enumerate(np.sign(a @ z0))}
+    q = ConditionQuery(a=a, p=0.5, mode="signed", support=support, signs=signs, z=z0)
+    with np.errstate(divide="raise", invalid="raise"):
+        alone = search_violation(q, restarts=1)
+        rep = search_violation(q, restarts=3, seed=SeedSpec(134, 0))
+    assert alone.min_margin == 0.0 and not alone.violated
+    np.testing.assert_array_equal(alone.witness, z0 / np.linalg.norm(z0))
+    assert rep.violated
+    _assert_same_bits(rep, list(_reference_search(q, 3, SeedSpec(134, 0)))[-1])
+
+
+
+@pytest.mark.parametrize("entries, sizes", [(40, [1] * 8), (120, [3, 3, 2])])
+def test_restart_stacks_are_bounded_and_do_not_change_results(monkeypatch, entries, sizes):
+    a = np.round(2 * gaussian_matrix(40, 4, SeedSpec(135, 0)))
+    q = ConditionQuery(a=a, p=0.5, mode="unsigned", rho=0.35, z=np.ones(4))
+    stacks = []
+    descend = certify._descend
+    monkeypatch.setattr(certify, "_descend", lambda q, z: stacks.append(len(z)) or descend(q, z))
+    whole = search_violation(q, restarts=8, seed=SeedSpec(136, 0))
+    assert stacks == [8]
+    stacks.clear()
+    monkeypatch.setattr(certify, "_BLOCK_ENTRIES", entries)
+    rep = search_violation(q, restarts=8, seed=SeedSpec(136, 0))
+    assert stacks == sizes
+    _assert_same_bits(rep, (whole.min_margin, whole.witness))
+
+
+# integer values tie heavily, and 0.0 ties with -0.0
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(v=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 24)), elements=_ENTRIES),
+       data=st.data())
+def test_top_k_coefficients_match_stable_argsort(v, data):
+    m = v.shape[1]
+    for k in (0, data.draw(st.integers(1, m)), m):
+        np.testing.assert_array_equal(_coefficients(v, k=k), _stable_coefficients(v, k))
+        np.testing.assert_array_equal(_coefficients(v[0], k=k), _stable_coefficients(v[0], k))
+
+
+@pytest.mark.parametrize("bad", [2.5, float("nan"), "3"])
+def test_search_rejects_non_integer_restarts(bad):
+    q = ConditionQuery(a=_COLUMN, p=0.5, mode="unsigned", rho=0.5)
+    with pytest.raises(DomainError, match="restarts must be an integer"):
+        search_violation(q, restarts=bad)
+
+
+@pytest.mark.parametrize("field", ["a", "z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_condition_query_rejects_non_finite(field, bad):
+    a, z = _COLUMN.copy(), np.array([1.0])
+    {"a": a, "z": z}[field][0] = bad
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        ConditionQuery(a=a, p=0.5, mode="unsigned", rho=0.5, z=z)
+
+
+
+@pytest.mark.parametrize("field", ["a", "z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_margins_and_attacks_reject_non_finite(field, bad):
+    a, z = _COLUMN.copy(), np.array([1.0])
+    {"a": a, "z": z}[field][0] = bad
+    support, signs = [0, 1, 2, 3], {0: -1, 1: -1, 2: -1, 3: -1}
+    calls = [
+        lambda: unsigned_margin(a, 0.5, 0.5, z),
+        lambda: support_margin(a, 0.5, support, z),
+        lambda: signed_margin(a, 0.5, support, signs, z),
+        lambda: attack_arbitrary(a, np.zeros(1), 0.5, 0.5, z),
+        lambda: attack_fixed_sign(a, np.zeros(1), 0.5, support, signs, z),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="a and z must be finite"):
+            call()
+
+
+def test_search_with_no_finite_margin_raises():
+    # A z overflows to inf in every row, so every margin is inf - inf = NaN
+    a = np.full((2, 2), 1.5e308)
+    q = ConditionQuery(a=a, p=1.0, mode="unsigned", rho=0.5, z=np.ones(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            search_violation(q, restarts=1)

@@ -17,6 +17,25 @@ from lpdecode import (
 )
 from lpdecode.ensemble import draw_support_signs
 
+# entry point -> (argument, call with that argument set to v)
+INTEGER_ARGS = {
+    "gaussian_matrix.m": ("m", lambda v: gaussian_matrix(v, 2, SeedSpec(0, 0))),
+    "gaussian_matrix.n": ("n", lambda v: gaussian_matrix(5, v, SeedSpec(0, 0))),
+    "make_instance.m": ("m", lambda v: make_instance(v, 2, ErrorSpec(rho=0.2), SeedSpec(0, 0))),
+    "make_instance.n": ("n", lambda v: make_instance(5, v, ErrorSpec(rho=0.2), SeedSpec(0, 0))),
+    "SeedSpec.master_seed": ("master_seed", lambda v: SeedSpec(v, 0)),
+    "SeedSpec.stream_id": ("stream_id", lambda v: SeedSpec(0, v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGS))
+@pytest.mark.parametrize("bad", [2.5, float("nan"), "3"])
+def test_entry_points_reject_non_integers(entry, bad):
+    name, call = INTEGER_ARGS[entry]
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        call(bad)
+    call(np.int64(3))
+
 
 def test_floor_count_guards_float_droop():
     # 0.29 * 100 evaluates to 28.999999999999996 in binary floats

@@ -29,6 +29,9 @@ INTEGER_FIELDS = {
     "n": lambda v: SweepPlan(m=20, n=v, p_values=(0.5,), rho_values=(0.1,), trials=1),
     "trials": lambda v: SweepPlan(m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=v),
     "steps": lambda v: CurveRequest(p_min=0.1, p_max=0.5, steps=v),
+    "master_seed": lambda v: SweepPlan(
+        m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=1, master_seed=v
+    ),
 }
 
 

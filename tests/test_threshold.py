@@ -167,6 +167,15 @@ def test_curve_request_validation():
         CurveRequest(p_min=0.1, p_max=1.1, steps=5)
 
 
+@pytest.mark.parametrize("name", ["m", "seed"])
+@pytest.mark.parametrize("bad", [20000.5, float("nan"), "3"])
+def test_mc_threshold_oracle_rejects_non_integers(name, bad):
+    args = {"m": 20_000, "seed": 1, name: bad}
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        mc_threshold_oracle(0.5, **args)
+    mc_threshold_oracle(0.5, **{**args, name: np.int64(20_000)})
+
+
 def test_threshold_point_validation():
     with pytest.raises(DomainError):
         ThresholdPoint(p=0.5, z_star=1.0, rho_star=0.5)
