@@ -11,11 +11,12 @@ across the whole float range.
 
 One kernel, ``_irls``, runs IRLS on a stack of trials at once, and
 ``_decode_stack`` scales each trial, starts it and scales its result back:
-the restarts of ``decode`` share one A, and a sweep cell stacks the A of
-its trials, a bounded number at a time.  Every step is one batched Gram
-product and residual, then one LAPACK Cholesky factorisation and solve per
-trial; a trial that finishes, or never starts, stays in the stack, frozen,
-so every trial's result is bit-identical to a run on its own.
+the restarts of ``decode`` share one A, and a sweep stacks the A of the
+trials at one p, a bounded number at a time.  Every step is one batched
+Gram product and residual over the live trials, then one LAPACK Cholesky
+solve per trial; a trial that finishes or fails leaves the stack, so no
+step is spent on it, and every trial's result is bit-identical to a run
+on its own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv
 
 from .ensemble import SeedSpec
 from .errors import DomainError, LpdecodeError, NumericError, SingularityError, _require_int
@@ -84,21 +85,20 @@ def _exponent(v: np.ndarray) -> int:
     return math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
 
 
-def _solve(a, w, y, live=None):
+def _solve(a, w, y):
     """One weighted least-squares solve per trial of a stack.
 
     a is (T, m, n) or (1, m, n), w is (T, m) and y is (T, m) or (1, m).
-    Returns x of shape (T, n), with zero rows for the trials that ``live``
-    (a (T,) bool mask, default all) leaves out or that fail, and a dict
-    {trial: SingularityError} for the failures.
+    Returns x of shape (T, n), with zero rows for the trials that fail, and
+    a dict {trial: SingularityError} for the failures.
 
     The Gram matrices A^T W A and right-hand sides A^T W y of the whole
-    stack are two batched products; each trial is then solved from the
-    Cholesky factor U of its own Gram matrix.  G = U^T U squares the
-    condition number of the sqrt(w)-scaled system, so a trial counts as
-    numerically rank deficient when its factorisation fails or its pivots
-    U_kk^2 span more than 1/sqrt(eps): past that, less than half the digits
-    of x would be right.
+    stack are two batched products; each trial is then solved by one
+    LAPACK dposv, which factors its Gram matrix as U^T U and solves.
+    G = U^T U squares the condition number of the sqrt(w)-scaled system, so
+    a trial counts as numerically rank deficient when its factorisation
+    fails or its pivots U_kk^2 span more than 1/sqrt(eps): past that, less
+    than half the digits of x would be right.
     """
     aw = a * w[..., None]
     gram = np.swapaxes(a, -1, -2) @ aw
@@ -107,8 +107,8 @@ def _solve(a, w, y, live=None):
     x = np.zeros((len(w), n))
     pivots = np.ones((len(w), n))  # stays 1 for the trials not factored
     failed = {}
-    for t in range(len(w)) if live is None else np.flatnonzero(live):
-        upper, info = dpotrf(gram[t], lower=0, clean=0)
+    for t in range(len(w)):
+        upper, xt, info = dposv(gram[t], rhs[t], lower=0)
         if info:
             failed[t] = SingularityError(
                 "weighted system is numerically rank deficient "
@@ -116,7 +116,7 @@ def _solve(a, w, y, live=None):
             )
             continue
         pivots[t] = upper.diagonal()
-        x[t] = dpotrs(upper, rhs[t], lower=0)[0]
+        x[t] = xt
     pivots **= 2
     ratios = pivots.min(axis=1) / pivots.max(axis=1) if n else np.zeros(len(w))
     for t in np.flatnonzero(~(ratios > _PIVOT_RATIO_MIN)):
@@ -175,13 +175,14 @@ def _irls(a, y, p, x0, s2, live):
     (T,) is the squared measurement scale of each trial and live (T,) marks
     the trials to run.  Returns one (x, trace, iterations, converged,
     phase_starts) tuple per trial, the LpdecodeError that trial raised, or
-    None for a trial that was not live.  A trial that finishes or fails
-    stays in the stack behind the ``live`` mask, never gathered out, and
-    its result is taken at the step it finishes.
+    None for a trial that was not live.  The stack holds only the live
+    trials: a trial that finishes or fails is gathered out of it (with its
+    rows of a and y, unless one A is shared), and its result is written
+    back at its own index.
     """
     t_count, n = x0.shape
-    started = live
-    live = live.copy()
+    per_trial = len(a) == t_count
+    ids = np.arange(t_count)  # the caller's index of each row of the stack
     x = x0
     r = y - (a @ x[..., None])[..., 0]
     eps = np.full(t_count, _EPS_START)
@@ -193,45 +194,54 @@ def _irls(a, y, p, x0, s2, live):
     trace = np.empty((_MAX_OUTER * _MAX_INNER, t_count))
     iterations = np.zeros(t_count, dtype=np.int64)
     phase_starts = np.zeros((t_count, _MAX_OUTER), dtype=np.int64)
+    phase_counts = np.zeros(t_count, dtype=np.int64)
     x_out = np.empty((t_count, n))
     converged = np.zeros(t_count, dtype=bool)
     errors: dict[int, LpdecodeError] = {}
+    keep = live
     k = 0
-    while live.any():
+    while keep.any():
+        if not keep.all():
+            ids, x, r, s2, eps, phases, inner = (
+                v[keep] for v in (ids, x, r, s2, eps, phases, inner)
+            )
+            if per_trial:
+                a, y = a[keep], y[keep]
         eps_abs = (eps * s2)[:, None]
         w = (r * r + eps_abs) ** (p / 2 - 1)
-        x_new, failed = _solve(a, w, y, live)
-        for t, exc in failed.items():
-            errors[t] = exc
-            live[t] = False
+        x_new, failed = _solve(a, w, y)
         r_new = y - (a @ x_new[..., None])[..., 0]
-        trace[k] = np.sum((r_new * r_new + eps_abs) ** (p / 2), axis=-1)
+        trace[k, ids] = np.sum((r_new * r_new + eps_abs) ** (p / 2), axis=-1)
         k += 1
         denom = np.maximum(_norms(x), _norms(x_new))
         # x_new == x == 0 where denom is 0, so the step reads 0 there
         step = _norms(x_new - x) / np.where(denom > 0, denom, 1.0)
-        # Rows that are not live hold zeros from here on, never read again.
         x, r = x_new, r_new
         inner += 1
 
         settled = step <= _INNER_TOL
-        phase_over = live & (settled | (inner >= _MAX_INNER))
+        phase_over = settled | (inner >= _MAX_INNER)
+        keep = np.ones(len(ids), dtype=bool)
+        for t, exc in failed.items():
+            errors[int(ids[t])] = exc
+            keep[t] = phase_over[t] = False
         if phase_over.any():
             last = phase_over & (eps <= _EPS_MIN)
-            converged |= last & settled
+            converged[ids[last & settled]] = True
             done = last | (phase_over & (phases >= _MAX_OUTER))
             more = phase_over & ~done
             eps[more] = np.maximum(eps[more] * _EPS_SHRINK, _EPS_MIN)
-            phase_starts[more, phases[more]] = k
+            phase_starts[ids[more], phases[more]] = k
             phases[more] += 1
             inner[phase_over] = 0
-            x_out[done] = x[done]
-            iterations[done] = k
-            live &= ~done
+            x_out[ids[done]] = x[done]
+            iterations[ids[done]] = k
+            phase_counts[ids[done]] = phases[done]
+            keep &= ~done
 
     out = []
     for t in range(t_count):
-        if not started[t]:
+        if not live[t]:
             out.append(None)
         elif t in errors:
             out.append(errors[t])
@@ -241,7 +251,7 @@ def _irls(a, y, p, x0, s2, live):
             k = int(iterations[t])
             out.append(
                 (x_out[t], trace[:k, t].tolist(), k, bool(converged[t]),
-                 phase_starts[t, : phases[t]].tolist())
+                 phase_starts[t, : phase_counts[t]].tolist())
             )
     return out
 
@@ -341,12 +351,10 @@ def _decode_stack(a, y, p, restarts=1, seed=None):
             [x0[0]] + [x0[0] + gen.standard_normal(n) * scale for _ in range(restarts - 1)]
         )
         src = np.zeros(restarts, dtype=np.int64)
-    # A zero y or a failed first solve leaves its runs frozen from the first
-    # step; a stand-in scale of 1 keeps their unused weights finite.
+    # A zero y or a failed first solve keeps its runs out of the stack.
     runnable = s2 > 0
     runnable[list(failed)] = False
-    live = runnable[src]
-    runs = _irls(as_, ys, p, x0, np.where(live, s2[src], 1.0), live)
+    runs = _irls(as_, ys, p, x0, s2[src], runnable[src])
 
     out = []
     for t, run in zip(src, runs):

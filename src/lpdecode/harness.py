@@ -34,9 +34,10 @@ log = logging.getLogger(__name__)
 
 _REGIMES = ("arbitrary", "fixed_sign", "adversarial")
 _LEVEL = 0.5
-# A cell decodes its trials in stacks of at most this many entries of A
-# (always at least one trial), so its memory does not grow with the number
-# of trials; each decoded stack holds about four copies of its A.
+# A sweep decodes the trials at one p in stacks of at most this many
+# entries of A (always at least one trial), so its memory does not grow
+# with the number of trials; each decoded stack holds about four copies of
+# its A.
 _STACK_ENTRIES = 1 << 16
 
 
@@ -73,7 +74,13 @@ class SweepPlan:
 
 @dataclass(eq=False)
 class PhaseCell:
-    """Aggregate decode outcomes for one (p, rho) grid point."""
+    """Aggregate decode outcomes for one (p, rho) grid point.
+
+    ``errors`` counts the trials whose build or decode raised an
+    LpdecodeError; they count as neither successes nor gaps.  A sweep
+    decodes the trials of several cells in one stack, so ``wallclock_ms``
+    is the cell's share of its stacks' wall time, split by trial count.
+    """
 
     p: float
     rho: float
@@ -83,6 +90,7 @@ class PhaseCell:
     successes: int
     mean_objective_gap: float
     wallclock_ms: int
+    errors: int = 0
 
     @property
     def success_rate(self) -> float:
@@ -153,50 +161,66 @@ def _build_instance(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed) 
     return make_instance(m, n, ErrorSpec(rho=rho), inst_seed)
 
 
-def _outcomes(plan: SweepPlan, p_index: int, rho_index: int):
-    """Yield (trial, instance, result) for every trial of a cell, in trial
-    order, where result is a DecodeResult or the LpdecodeError the trial
-    raised (instance is None when building it failed).  The trials are
-    built and decoded in stacks of at most _STACK_ENTRIES entries of A."""
-    p = plan.p_values[p_index]
-    rho = plan.rho_values[rho_index]
+def _stacks(plan: SweepPlan) -> list[tuple[int, int, int]]:
+    """(p index, start, stop) of each stack a sweep decodes, in grid order.
+
+    The trials at one p, rho-major and in trial order, are split into the
+    fewest balanced stacks of at most _STACK_ENTRIES entries of A (at least
+    one trial each); a stack never mixes p values, so p stays one scalar.
+    """
+    per_p = len(plan.rho_values) * plan.trials
     size = max(1, _STACK_ENTRIES // (plan.m * plan.n))
-    for first in range(0, plan.trials, size):
-        trials = range(first, min(first + size, plan.trials))
-        instances, results = {}, {}
-        for trial in trials:
-            inst_seed, aux_seed, _ = trial_seeds(plan, p_index, rho_index, trial)
-            try:
-                instances[trial] = _build_instance(plan, p, rho, inst_seed, aux_seed)
-            except LpdecodeError as exc:
-                results[trial] = exc
-        if instances:
-            stack = instances.values()
-            decoded = _decode_stack(
-                np.stack([inst.a for inst in stack]), np.stack([inst.y for inst in stack]), p
-            )
-            results.update(zip(instances, decoded))
-        for trial in trials:
-            yield trial, instances.get(trial), results[trial]
+    count = -(-per_p // size)
+    return [
+        (pi, per_p * c // count, per_p * (c + 1) // count)
+        for pi in range(len(plan.p_values))
+        for c in range(count)
+    ]
 
 
-def _run_cell(plan: SweepPlan, p_index: int, rho_index: int) -> PhaseCell:
-    p = plan.p_values[p_index]
-    rho = plan.rho_values[rho_index]
+def _run_stack(plan: SweepPlan, p_index: int, start: int, stop: int):
+    """Build and decode trials start..stop at one p as one stack.
 
+    Returns (outcomes, seconds): per trial, in order, the LpdecodeError it
+    raised or (recovered, objective gap), and the stack's wall time.
+    """
     t0 = time.perf_counter()
-    successes = 0
-    gaps = []
-    for trial, inst, result in _outcomes(plan, p_index, rho_index):
-        if isinstance(result, LpdecodeError):
-            log.warning(
-                "solver error at p=%g rho=%g trial=%d: %s", p, rho, trial, result
+    p = plan.p_values[p_index]
+    outcomes, instances = {}, {}
+    for k in range(start, stop):
+        rho_index, trial = divmod(k, plan.trials)
+        inst_seed, aux_seed, _ = trial_seeds(plan, p_index, rho_index, trial)
+        try:
+            instances[k] = _build_instance(
+                plan, p, plan.rho_values[rho_index], inst_seed, aux_seed
             )
+        except LpdecodeError as exc:
+            outcomes[k] = exc
+    if instances:
+        stack = instances.values()
+        decoded = _decode_stack(
+            np.stack([inst.a for inst in stack]), np.stack([inst.y for inst in stack]), p
+        )
+        for (k, inst), result in zip(instances.items(), decoded):
+            outcomes[k] = result if isinstance(result, LpdecodeError) else (
+                apply_decoder_success(result.x_hat, inst.f),
+                result.objective - lp_objective(inst.e, p),
+            )
+    return [outcomes[k] for k in range(start, stop)], time.perf_counter() - t0
+
+
+def _cell(plan: SweepPlan, p: float, rho: float, outcomes) -> PhaseCell:
+    """Score one cell from its (outcome, seconds) per trial, in trial order."""
+    successes, errors, gaps, seconds = 0, 0, [], 0.0
+    for trial, (outcome, trial_s) in enumerate(outcomes):
+        seconds += trial_s
+        if isinstance(outcome, LpdecodeError):
+            log.warning("solver error at p=%g rho=%g trial=%d: %s", p, rho, trial, outcome)
+            errors += 1
             continue
-        if apply_decoder_success(result.x_hat, inst.f):
-            successes += 1
-        gaps.append(result.objective - lp_objective(inst.e, p))
-    wallclock_ms = int(round((time.perf_counter() - t0) * 1000))
+        recovered, gap = outcome
+        successes += recovered
+        gaps.append(gap)
     return PhaseCell(
         p=p,
         rho=rho,
@@ -205,27 +229,29 @@ def _run_cell(plan: SweepPlan, p_index: int, rho_index: int) -> PhaseCell:
         trials=plan.trials,
         successes=successes,
         mean_objective_gap=float(np.mean(gaps)) if gaps else float("nan"),
-        wallclock_ms=wallclock_ms,
+        wallclock_ms=int(round(seconds * 1000)),
+        errors=errors,
     )
 
 
-def _cell_worker(args) -> PhaseCell:
-    return _run_cell(*args)
-
-
 def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[PhaseCell]:
-    """Run every (p, rho) cell; results are identical for any ``jobs`` >= 1."""
+    """Run every (p, rho) cell, in grid order; results are identical for
+    any ``jobs`` >= 1, which run the stacks of ``_stacks`` across processes."""
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
-    coords = [
-        (plan, pi, ri)
-        for pi in range(len(plan.p_values))
-        for ri in range(len(plan.rho_values))
-    ]
-    if jobs == 1 or len(coords) == 1:
-        return [_run_cell(*c) for c in coords]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_cell_worker, coords))
+    stacks = _stacks(plan)
+    if jobs == 1 or len(stacks) == 1:
+        runs = [_run_stack(plan, *s) for s in stacks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            runs = list(pool.map(_run_stack, [plan] * len(stacks), *zip(*stacks)))
+    # The stacks cover the grid in order, so trial k of the flat list is
+    # trial k % trials of cell k // trials; each trial is charged an equal
+    # share of its stack's time.
+    flat = [(outcome, seconds / len(outs)) for outs, seconds in runs for outcome in outs]
+    grid = [(p, rho) for p in plan.p_values for rho in plan.rho_values]
+    t = plan.trials
+    return [_cell(plan, p, rho, flat[c * t : (c + 1) * t]) for c, (p, rho) in enumerate(grid)]
 
 
 def estimate_threshold(cells: list[PhaseCell]) -> ThresholdEstimate:

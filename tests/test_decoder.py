@@ -21,6 +21,7 @@ from lpdecode import (
     trial_seeds,
     weighted_least_squares,
 )
+from lpdecode import decoder
 from lpdecode.decoder import _decode_stack
 from lpdecode.harness import _build_instance
 
@@ -400,8 +401,8 @@ def test_decode_restarts_are_the_best_single_run():
 
 
 def test_singular_trial_fails_alone():
-    # trial 2 is singular and trial 1 has y = 0: both stay frozen from the
-    # first step, and every trial gets what decode gives it on its own
+    # trial 2 is singular and trial 1 has y = 0: neither enters the IRLS
+    # stack, and every trial gets what decode gives it on its own
     a, y = _cell_stack("arbitrary", 0.5, 0.2, 4, 60, 6, 3)
     a[2, :, 1] = a[2, :, 0]
     y[1] = 0.0
@@ -412,3 +413,31 @@ def test_singular_trial_fails_alone():
         assert _key(stacked[t]) == _key(decode(a[t], y[t], DecoderConfig(p=0.5)))
     with pytest.raises(SingularityError):
         decode(a[2], y[2], DecoderConfig(p=0.5))
+
+
+def test_finished_trials_leave_the_stack(monkeypatch):
+    # trials that finish at different steps, one singular and one with
+    # y = 0 (m = 61 puts the rows of the stack at odd offsets): every row
+    # _solve receives is a solve some trial needs, so each call holds the
+    # start of every trial, then only the trials still running
+    a, y = _cell_stack("arbitrary", 0.5, 0.25, 6, 61, 6, 4)
+    a[2, :, 1] = a[2, :, 0]
+    y[1] = 0.0
+    solve = decoder._solve
+    rows = []
+
+    def counting(a, w, y):
+        rows.append(len(w))
+        return solve(a, w, y)
+
+    monkeypatch.setattr(decoder, "_solve", counting)
+    stacked = _decode_stack(a, y, 0.5)
+    monkeypatch.setattr(decoder, "_solve", solve)
+
+    assert isinstance(stacked[2], SingularityError)
+    runs = [stacked[t].iterations for t in (0, 3, 4, 5)]
+    assert len(set(runs)) > 1 and stacked[1].iterations == 0
+    assert rows == [6] + [sum(k < it for it in runs) for k in range(max(runs))]
+    assert sum(rows) == 6 + sum(runs)
+    for t in (0, 1, 3, 4, 5):
+        assert _key(stacked[t]) == _key(decode(a[t], y[t], DecoderConfig(p=0.5)))

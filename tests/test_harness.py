@@ -258,6 +258,16 @@ def test_phase_csv_layout():
     # timing is suppressed by default for byte-stable artifacts
     assert lines[1].split(",")[-1] == "0"
     assert phase_csv(cells, timing=True).splitlines()[1].split(",")[-1] == "5"
+    # in a sweep the cells at one p share a stack, and each gets a share of
+    # its time
+    plan = SweepPlan(
+        m=40, n=4, p_values=(0.5, 1.0), rho_values=(0.1, 0.3), trials=3, master_seed=1
+    )
+    cells = run_sweep(plan)
+    for row, cell in zip(phase_csv(cells, timing=True).splitlines()[1:], cells):
+        assert isinstance(cell.wallclock_ms, int) and cell.wallclock_ms >= 0
+        assert row.split(",")[-1] == str(cell.wallclock_ms)
+    assert all(row.endswith(",0") for row in phase_csv(cells).splitlines()[1:])
 
 
 def test_phase_csv_nine_significant_digits():
@@ -305,6 +315,7 @@ def test_singular_trial_logs_one_warning_and_leaves_the_others(monkeypatch, capl
         (cell,) = run_sweep(plan)
     assert len(caplog.records) == 1
     assert "trial=2" in caplog.records[0].getMessage()
+    assert cell.errors == 1
 
     insts = [build(plan, 0.5, 0.2, *trial_seeds(plan, 0, 0, t)[:2]) for t in (0, 1, 3)]
     results = [decode(i.a, i.y, DecoderConfig(p=0.5)) for i in insts]
@@ -317,23 +328,50 @@ def test_singular_trial_logs_one_warning_and_leaves_the_others(monkeypatch, capl
 
 
 def test_cell_stacks_are_bounded_and_do_not_change_results(monkeypatch):
-    # a cell decodes its trials in stacks of at most _STACK_ENTRIES entries
-    # of A; the stack size changes neither the cell's memory bound nor a digit
+    # the 14 trials at each p (two rho cells of 7) are decoded in the fewest
+    # balanced stacks of at most _STACK_ENTRIES entries of A; a stack may
+    # span cells but never mixes p, and its size does not change a digit
     plan = SweepPlan(
         m=40, n=4, p_values=(0.5, 1.0), rho_values=(0.1, 0.3), trials=7,
         error_regime="adversarial", master_seed=2,
     )
     whole = phase_csv(run_sweep(plan))
     decode_stack = harness._decode_stack
-    sizes = []
+    stacks = []
 
     def recording(a, y, p):
-        sizes.append(len(a))
+        stacks.append((len(a), p))
         return decode_stack(a, y, p)
 
     monkeypatch.setattr(harness, "_decode_stack", recording)
-    for entries, per_cell in ((1, [1] * 7), (3 * 40 * 4, [3, 3, 1]), (1 << 20, [7])):
+    for entries, per_p in ((1, [1] * 14), (3 * 40 * 4, [2, 3, 3, 3, 3]), (1 << 20, [14])):
         monkeypatch.setattr(harness, "_STACK_ENTRIES", entries)
-        sizes.clear()
+        stacks.clear()
         assert phase_csv(run_sweep(plan)) == whole
-        assert sizes == per_cell * 4
+        assert stacks == [(size, p) for p in (0.5, 1.0) for size in per_p]
+
+
+def test_solver_errors_are_counted_per_cell(monkeypatch):
+    # trial 0 of the second cell is singular; it shares a stack with the
+    # first cell's trials, and only its own cell counts it
+    plan = SweepPlan(
+        m=60, n=6, p_values=(0.5,), rho_values=(0.1, 0.2), trials=3, master_seed=3
+    )
+    clean = run_sweep(plan)
+    build = harness._build_instance
+    bad_seed = trial_seeds(plan, 0, 1, 0)[0]
+
+    def build_with_equal_columns(plan, p, rho, inst_seed, aux_seed):
+        inst = build(plan, p, rho, inst_seed, aux_seed)
+        if inst_seed == bad_seed:
+            inst.a[:, 1] = inst.a[:, 0]
+        return inst
+
+    monkeypatch.setattr(harness, "_build_instance", build_with_equal_columns)
+    cells = run_sweep(plan)
+    assert [c.errors for c in clean] == [0, 0]
+    assert [c.errors for c in cells] == [0, 1]
+    assert cells[1].successes <= cells[1].trials - cells[1].errors
+    assert phase_csv(cells[:1]) == phase_csv(clean[:1])
+    # the CSV has no errors column, so the default output does not change
+    assert phase_csv(cells).splitlines()[0] == phase_csv(clean).splitlines()[0]
