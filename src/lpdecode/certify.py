@@ -32,7 +32,7 @@ import numpy as np
 
 from .ensemble import SeedSpec, ceil_count
 from .decoder import _norms
-from .errors import DomainError, NumericError, _require_int
+from .errors import DomainError, NumericError, _require_int, _require_p
 
 _SEARCH_STEPS = 500
 _STEP_SCALE = 0.3
@@ -68,8 +68,7 @@ class ConditionQuery:
         if not np.all(np.isfinite(a)):
             raise DomainError("a must be finite")
         object.__setattr__(self, "a", a)
-        if not (0 < self.p <= 1):
-            raise DomainError(f"p must lie in (0, 1], got {self.p}")
+        _require_p(self.p)
         if self.mode == "unsigned":
             _support_size(self.rho, a.shape[0])
         elif self.mode == "signed":
@@ -371,8 +370,7 @@ def attack_arbitrary(
     if f.shape != (n,):
         raise DomainError(f"f must have length n={n}, got shape {f.shape}")
     k = _support_size(rho, m)
-    if not (0 < p <= 1):
-        raise DomainError(f"p must lie in (0, 1], got {p}")
+    _require_p(p)
     if z is None:
         if seed is None:
             raise DomainError("either z or seed must be given")

@@ -1,10 +1,11 @@
 """IRLS decoder for min_x ||y - A x||_p^p with 0 < p <= 1.
 
 The nonsmooth objective is approached through a smoothed surrogate
-sum_i (r_i^2 + eps)^(p/2) with eps shrunk geometrically; each fixed-eps
-phase runs reweighted least squares with weights w_i = (r_i^2 + eps)^(p/2-1),
-which majorizes the surrogate, so the smoothed objective is non-increasing
-within a phase.  eps is applied relative to the squared measurement scale
+sum_i (r_i^2 + eps)^(p/2) over a fixed schedule of ten eps phases, 1, 0.1,
+..., 1e-8, each a tenth of the last.  Each phase runs at most 100 steps of
+reweighted least squares with weights w_i = (r_i^2 + eps)^(p/2-1), which
+majorizes the surrogate, so the smoothed objective is non-increasing within
+a phase.  eps is applied relative to the squared measurement scale
 ||y||^2 / m, which makes the whole iteration equivariant under y -> c y; the
 iteration itself runs on y and A divided by powers of two, so that holds
 across the whole float range.
@@ -28,13 +29,17 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .ensemble import SeedSpec
-from .errors import DomainError, LpdecodeError, NumericError, SingularityError, _require_int
+from .errors import DomainError, LpdecodeError, NumericError, SingularityError
+from .errors import _require_int, _require_p
 
 
-_EPS_START = 1.0
 _EPS_MIN = 1e-8
-_EPS_SHRINK = 0.1
-_MAX_OUTER = 12
+# The eps of each of the ten phases: 1, then each a tenth of the last
+# (eps * 0.1, whose floats differ from eps / 10's), floored at _EPS_MIN.
+_EPS = [1.0]
+while _EPS[-1] > _EPS_MIN:
+    _EPS.append(max(_EPS[-1] * 0.1, _EPS_MIN))
+_EPS = np.array(_EPS)
 _MAX_INNER = 100
 _INNER_TOL = 1e-10
 _PIVOT_RATIO_MIN = math.sqrt(np.finfo(float).eps)
@@ -42,15 +47,15 @@ _PIVOT_RATIO_MIN = math.sqrt(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """The lp exponent and the number of IRLS restarts; the eps schedule and
-    iteration caps are module constants."""
+    """The lp exponent and the number of IRLS restarts.  The rest is fixed:
+    every run takes the same ten eps phases, 1 down to 1e-8, of at most 100
+    inner iterations each."""
 
     p: float
     restarts: int = 1
 
     def __post_init__(self):
-        if not (0 < self.p <= 1):
-            raise DomainError(f"p must lie in (0, 1], got {self.p}")
+        _require_p(self.p)
         _require_int("restarts", self.restarts)
         if self.restarts < 1:
             raise DomainError("restarts must be at least 1")
@@ -168,8 +173,8 @@ def _norms(v):
 
 
 def _irls(a, y, p, x0, s2, live):
-    """IRLS from each row of x0 on a stack of trials: eps continuation around
-    the inner reweighted loop, per trial.
+    """IRLS from each row of x0 on a stack of trials: the phases of _EPS
+    around the inner reweighted loop, per trial.
 
     a is (T, m, n) or (1, m, n), y is (T, m) or (1, m), x0 is (T, n), s2
     (T,) is the squared measurement scale of each trial and live (T,) marks
@@ -185,16 +190,14 @@ def _irls(a, y, p, x0, s2, live):
     ids = np.arange(t_count)  # the caller's index of each row of the stack
     x = x0
     r = y - (a @ x[..., None])[..., 0]
-    eps = np.full(t_count, _EPS_START)
-    phases = np.ones(t_count, dtype=np.int64)
+    phase = np.zeros(t_count, dtype=np.int64)  # each trial's index into _EPS
     inner = np.zeros(t_count, dtype=np.int64)
     # A trial is live from the first step until it is done, so its k-th
     # iteration is the stack's k-th step: trace[k] holds every trial's k-th
     # objective, and a trial's iteration count is the step it finished at.
-    trace = np.empty((_MAX_OUTER * _MAX_INNER, t_count))
+    trace = np.empty((len(_EPS) * _MAX_INNER, t_count))
     iterations = np.zeros(t_count, dtype=np.int64)
-    phase_starts = np.zeros((t_count, _MAX_OUTER), dtype=np.int64)
-    phase_counts = np.zeros(t_count, dtype=np.int64)
+    phase_starts = np.zeros((t_count, len(_EPS)), dtype=np.int64)
     x_out = np.empty((t_count, n))
     converged = np.zeros(t_count, dtype=bool)
     errors: dict[int, LpdecodeError] = {}
@@ -202,12 +205,12 @@ def _irls(a, y, p, x0, s2, live):
     k = 0
     while keep.any():
         if not keep.all():
-            ids, x, r, s2, eps, phases, inner = (
-                v[keep] for v in (ids, x, r, s2, eps, phases, inner)
+            ids, x, r, s2, phase, inner = (
+                v[keep] for v in (ids, x, r, s2, phase, inner)
             )
             if per_trial:
                 a, y = a[keep], y[keep]
-        eps_abs = (eps * s2)[:, None]
+        eps_abs = (_EPS[phase] * s2)[:, None]
         w = (r * r + eps_abs) ** (p / 2 - 1)
         x_new, failed = _solve(a, w, y)
         r_new = y - (a @ x_new[..., None])[..., 0]
@@ -226,17 +229,14 @@ def _irls(a, y, p, x0, s2, live):
             errors[int(ids[t])] = exc
             keep[t] = phase_over[t] = False
         if phase_over.any():
-            last = phase_over & (eps <= _EPS_MIN)
-            converged[ids[last & settled]] = True
-            done = last | (phase_over & (phases >= _MAX_OUTER))
+            done = phase_over & (phase == len(_EPS) - 1)
+            converged[ids[done & settled]] = True
             more = phase_over & ~done
-            eps[more] = np.maximum(eps[more] * _EPS_SHRINK, _EPS_MIN)
-            phase_starts[ids[more], phases[more]] = k
-            phases[more] += 1
+            phase[more] += 1
+            phase_starts[ids[more], phase[more]] = k
             inner[phase_over] = 0
             x_out[ids[done]] = x[done]
             iterations[ids[done]] = k
-            phase_counts[ids[done]] = phases[done]
             keep &= ~done
 
     out = []
@@ -251,7 +251,7 @@ def _irls(a, y, p, x0, s2, live):
             k = int(iterations[t])
             out.append(
                 (x_out[t], trace[:k, t].tolist(), k, bool(converged[t]),
-                 phase_starts[t, : phase_counts[t]].tolist())
+                 phase_starts[t].tolist())
             )
     return out
 

@@ -1,11 +1,13 @@
 """Seeded generation of decoding instances y = A f + e.
 
 A is a tall Gaussian coding matrix, f the message, and e a sparse error
-vector built under one of two regimes: arbitrary sparse (random support and
-signs) or fixed support with fixed signs.  Everything is drawn from a
-value-owned Philox stream, so a (master_seed, stream_id) pair fully
-determines an instance; the draw order inside :func:`make_instance` is
-frozen (matrix, message, support, magnitudes, signs).
+vector with |N(0,1)| magnitudes under one of the paper's two error models:
+arbitrary sparse (a random support of floor(rho m) indices and random
+signs), or a fixed support with fixed signs, given as a sign map, in which
+case rho is not used.  Everything is drawn from a value-owned Philox
+stream, so a (master_seed, stream_id) pair fully determines an instance;
+the draw order inside :func:`make_instance` is frozen (matrix, message,
+support, magnitudes, signs).
 """
 
 from __future__ import annotations
@@ -53,41 +55,23 @@ class SeedSpec:
 
 @dataclass(frozen=True, eq=False)
 class ErrorSpec:
-    """How the error vector is built.
+    """Which of the two error models builds e; its magnitudes are |N(0,1)|.
 
-    ``magnitude_law`` is one of ``gaussian`` (|N(0,1)| magnitudes),
-    ``constant`` (fixed magnitude ``constant``) or ``from_direction``
-    (e_i = (A z)_i on the support, with z = ``direction``).  ``sign_policy``
-    is ``random`` or ``fixed``; a fixed policy supplies ``fixed_signs``,
-    a map index -> +-1 whose keys are also the support.  ``from_direction``
-    determines its own signs and therefore rejects a fixed policy.
+    With ``fixed_signs`` None, e is arbitrary and sparse: a random support
+    of floor(``rho`` m) indices with random signs.  Otherwise
+    ``fixed_signs``, a map index -> +-1, fixes both the support (its keys)
+    and the signs, and ``rho`` is not used.
     """
 
     rho: float
-    magnitude_law: str = "gaussian"
-    constant: float | None = None
-    direction: np.ndarray | None = None
-    sign_policy: str = "random"
     fixed_signs: dict[int, int] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.rho) and 0 <= self.rho < 1):
             raise DomainError(f"rho must lie in [0, 1), got {self.rho}")
-        if self.magnitude_law not in ("gaussian", "constant", "from_direction"):
-            raise DomainError(f"unknown magnitude_law {self.magnitude_law!r}")
-        if self.magnitude_law == "constant":
-            if self.constant is None or not (math.isfinite(self.constant) and self.constant > 0):
-                raise DomainError("constant magnitude law needs a positive 'constant'")
-        if self.magnitude_law == "from_direction":
-            if self.direction is None:
-                raise DomainError("from_direction magnitude law needs a 'direction' vector")
-            if self.sign_policy == "fixed":
-                raise DomainError("from_direction determines signs; fixed sign_policy conflicts")
-        if self.sign_policy not in ("random", "fixed"):
-            raise DomainError(f"unknown sign_policy {self.sign_policy!r}")
-        if self.sign_policy == "fixed":
+        if self.fixed_signs is not None:
             if not self.fixed_signs:
-                raise DomainError("fixed sign_policy needs a non-empty fixed_signs map")
+                raise DomainError("fixed_signs must be a non-empty map")
             if any(s not in (-1, 1) for s in self.fixed_signs.values()):
                 raise DomainError("fixed_signs values must be +1 or -1")
 
@@ -157,30 +141,21 @@ def draw_support_signs(m: int, rho: float, seed: SeedSpec) -> tuple[np.ndarray, 
     return support, signs
 
 
-def make_instance(
-    m: int,
-    n: int,
-    spec: ErrorSpec,
-    seed: SeedSpec,
-    f_mode: str = "gaussian",
-) -> Instance:
+def make_instance(m: int, n: int, spec: ErrorSpec, seed: SeedSpec) -> Instance:
     """Draw a full instance under ``spec`` from the stream owned by ``seed``.
 
-    ``f_mode='zero'`` replaces the message with zeros after drawing it, so
-    the matrix, support and error are identical to the ``gaussian`` instance
-    with the same seed; success conditions must not notice the difference.
+    A and f are Gaussian.  Under arbitrary sparse errors the support has
+    floor(rho m) random indices and random signs; under ``fixed_signs`` the
+    support and signs are the map's and ``rho`` is not used.  The draws come
+    in a frozen order: matrix, message, support (arbitrary errors only),
+    magnitudes, signs (arbitrary errors only).
     """
     _check_shape(m, n)
-    if f_mode not in ("gaussian", "zero"):
-        raise DomainError(f"unknown f_mode {f_mode!r}")
-
     gen = seed.generator()
     a = gen.standard_normal((m, n))
     f = gen.standard_normal(n)
-    if f_mode == "zero":
-        f = np.zeros(n)
 
-    if spec.sign_policy == "fixed":
+    if spec.fixed_signs is not None:
         support = np.array(sorted(spec.fixed_signs), dtype=np.int64)
         if support.size and (support[0] < 0 or support[-1] >= m):
             raise DomainError("fixed_signs indices out of range")
@@ -189,26 +164,14 @@ def make_instance(
         support = np.sort(gen.choice(m, size=k, replace=False)).astype(np.int64)
     k = support.size
 
-    e = np.zeros(m)
-    if spec.magnitude_law == "from_direction":
-        z = np.asarray(spec.direction, dtype=float)
-        if z.shape != (n,):
-            raise DomainError(f"direction must have length n={n}, got shape {z.shape}")
-        az = a @ z
-        e[support] = az[support]
-        signs = {int(i): (int(np.sign(e[i])) if e[i] != 0 else 1) for i in support}
+    mags = np.abs(gen.standard_normal(k))
+    if spec.fixed_signs is not None:
+        sgn = np.array([spec.fixed_signs[int(i)] for i in support], dtype=float)
     else:
-        if spec.magnitude_law == "gaussian":
-            mags = np.abs(gen.standard_normal(k))
-        else:
-            mags = np.full(k, spec.constant)
-        if spec.sign_policy == "fixed":
-            sgn = np.array([spec.fixed_signs[int(i)] for i in support], dtype=float)
-        else:
-            sgn = 2.0 * gen.integers(0, 2, size=k) - 1.0
-        e[support] = sgn * mags
-        signs = {int(i): int(s) for i, s in zip(support, sgn)}
-
+        sgn = 2.0 * gen.integers(0, 2, size=k) - 1.0
+    e = np.zeros(m)
+    e[support] = sgn * mags
+    signs = {int(i): int(s) for i, s in zip(support, sgn)}
     y = a @ f + e
     return Instance(a=a, f=f, e=e, y=y, support=support, signs=signs, seed=seed)
 

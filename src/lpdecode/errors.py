@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all lpdecode modules, and its integer check."""
+"""Exception hierarchy shared by all lpdecode modules, and its integer and p checks."""
 
 import operator
 
@@ -25,3 +25,13 @@ def _require_int(name: str, value) -> None:
         operator.index(value)
     except TypeError:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _require_p(p) -> None:
+    """Raise DomainError unless ``p`` is a number in (0, 1]."""
+    try:
+        in_range = 0 < p <= 1
+    except TypeError:
+        in_range = False
+    if not in_range:
+        raise DomainError(f"p must lie in (0, 1], got {p!r}")

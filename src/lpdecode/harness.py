@@ -26,7 +26,7 @@ from .ensemble import (
     floor_count,
     make_instance,
 )
-from .errors import DomainError, LpdecodeError, _require_int
+from .errors import DomainError, LpdecodeError, _require_int, _require_p
 from .halfnormal import mu
 from .seeding import mix64
 
@@ -54,6 +54,8 @@ class SweepPlan:
     master_seed: int = 0
 
     def __post_init__(self):
+        for p in self.p_values:
+            _require_p(p)
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
         for name in ("m", "n", "trials", "master_seed"):
@@ -62,8 +64,6 @@ class SweepPlan:
             raise DomainError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if not self.p_values or not self.rho_values:
             raise DomainError("p and rho grids must be non-empty")
-        if any(not 0 < p <= 1 for p in self.p_values):
-            raise DomainError("all p values must lie in (0, 1]")
         if any(not 0 <= r < 1 for r in self.rho_values):
             raise DomainError("all rho values must lie in [0, 1)")
         if self.trials < 1:
@@ -141,7 +141,7 @@ def _build_instance(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed) 
     k = floor_count(rho, m)
     if plan.error_regime == "fixed_sign" and k > 0:
         _, signs = draw_support_signs(m, rho, aux_seed)
-        spec = ErrorSpec(rho=rho, sign_policy="fixed", fixed_signs=signs)
+        spec = ErrorSpec(rho=rho, fixed_signs=signs)
         return make_instance(m, n, spec, inst_seed)
     if plan.error_regime == "adversarial" and k > 0:
         base = make_instance(m, n, ErrorSpec(rho=0.0), inst_seed)
@@ -236,14 +236,17 @@ def _cell(plan: SweepPlan, p: float, rho: float, outcomes) -> PhaseCell:
 
 def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[PhaseCell]:
     """Run every (p, rho) cell, in grid order; results are identical for
-    any ``jobs`` >= 1, which run the stacks of ``_stacks`` across processes."""
+    any ``jobs`` >= 1, which run the stacks of ``_stacks`` across processes
+    (never more processes than stacks)."""
+    _require_int("jobs", jobs)
     if jobs < 1:
         raise DomainError("jobs must be at least 1")
     stacks = _stacks(plan)
-    if jobs == 1 or len(stacks) == 1:
+    workers = min(jobs, len(stacks))
+    if workers == 1:
         runs = [_run_stack(plan, *s) for s in stacks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_stack, [plan] * len(stacks), *zip(*stacks)))
     # The stacks cover the grid in order, so trial k of the flat list is
     # trial k % trials of cell k // trials; each trial is charged an equal
@@ -289,14 +292,15 @@ def concentration_study(
     over the tail T^c, normalized by m * E|X|^p.  As m grows these settle at
     rho / 2 and 1 - rho.
     """
+    _require_int("m", m)
+    _require_int("trials", trials)
     if m < 10_000:
         raise DomainError(f"concentration study needs m >= 10000, got {m}")
     if trials < 1:
         raise DomainError("trials must be at least 1")
     if not (0 <= rho < 1):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    if not (0 < p <= 1):
-        raise DomainError(f"p must lie in (0, 1], got {p}")
+    _require_p(p)
 
     gen = SeedSpec(seed, 0).generator()
     k = floor_count(rho, m)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammainccinv
 
-from .errors import DomainError, _require_int
+from .errors import DomainError, _require_int, _require_p
 from .seeding import generator_from
 
 
@@ -35,8 +35,7 @@ class ThresholdPoint:
     drho_dp: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.p <= 1:
-            raise DomainError(f"p must be in (0, 1], got {self.p}")
+        _require_p(self.p)
         if not self.z_star > 0:
             raise DomainError(f"z_star must be positive, got {self.z_star}")
         if not 0 < self.rho_star < 0.5:
@@ -79,8 +78,7 @@ def solve_zstar(p: float) -> float:
     Q is the regularised upper incomplete gamma function.  So g(z*) = g(0)/2
     reads Q(s, z***2/2) = 1/2, and z* = sqrt(2 * Q^-1(s, 1/2)).
     """
-    if not (math.isfinite(p) and 0 < p <= 1):
-        raise DomainError(f"solve_zstar requires p in (0, 1], got {p}")
+    _require_p(p)
     return math.sqrt(2.0 * gammainccinv(0.5 * (p + 1.0), 0.5))
 
 
@@ -149,8 +147,7 @@ def mc_threshold_oracle(p: float, m: int, seed: int) -> float:
     consistent estimator of rho*(p); the draw is owned by a private stream,
     so identical seeds give identical estimates.
     """
-    if not (math.isfinite(p) and 0 < p <= 1):
-        raise DomainError(f"mc_threshold_oracle requires p in (0, 1], got {p}")
+    _require_p(p)
     _require_int("m", m)
     _require_int("seed", seed)
     if m < 10_000:

@@ -119,9 +119,7 @@ def test_criterion_05_noiseless_exactness():
     trials = 100
     for p in (0.3, 0.7, 1.0):
         for t in range(trials):
-            inst = make_instance(
-                100, 10, ErrorSpec(rho=0.0), SeedSpec(50_000 + t, 0), f_mode="gaussian"
-            )
+            inst = make_instance(100, 10, ErrorSpec(rho=0.0), SeedSpec(50_000 + t, 0))
             res = decode(inst.a, inst.y, DecoderConfig(p=p))
             err = float(np.max(np.abs(res.x_hat - inst.f)))
             worst = max(worst, err)

@@ -106,20 +106,9 @@ def test_make_instance_deterministic():
     assert a.signs == b.signs
 
 
-def test_make_instance_zero_message_shares_draws():
-    # zeroing f must not disturb the matrix, support, or error draws
-    g = make_instance(40, 6, ErrorSpec(rho=0.2), SeedSpec(11, 0), f_mode="gaussian")
-    z = make_instance(40, 6, ErrorSpec(rho=0.2), SeedSpec(11, 0), f_mode="zero")
-    np.testing.assert_array_equal(g.a, z.a)
-    np.testing.assert_array_equal(g.e, z.e)
-    np.testing.assert_array_equal(g.support, z.support)
-    np.testing.assert_array_equal(z.f, np.zeros(6))
-    np.testing.assert_array_equal(z.y, z.a @ z.f + z.e)
-
-
 def test_make_instance_fixed_signs():
     pattern = {3: 1, 7: -1, 12: 1}
-    spec = ErrorSpec(rho=0.2, sign_policy="fixed", fixed_signs=pattern)
+    spec = ErrorSpec(rho=0.2, fixed_signs=pattern)
     inst = make_instance(20, 3, spec, SeedSpec(5, 0))
     np.testing.assert_array_equal(inst.support, [3, 7, 12])
     assert inst.signs == pattern
@@ -128,65 +117,24 @@ def test_make_instance_fixed_signs():
     inst.validate()
 
 
-def test_make_instance_constant_magnitudes():
-    spec = ErrorSpec(rho=0.25, magnitude_law="constant", constant=2.5)
-    inst = make_instance(40, 4, spec, SeedSpec(6, 0))
-    np.testing.assert_allclose(np.abs(inst.e[inst.support]), 2.5)
-
-
-def test_make_instance_from_direction():
-    z = np.array([1.0, -2.0, 0.5])
-    spec = ErrorSpec(rho=0.3, magnitude_law="from_direction", direction=z)
-    inst = make_instance(30, 3, spec, SeedSpec(8, 0))
-    az = inst.a @ z
-    np.testing.assert_array_equal(inst.e[inst.support], az[inst.support])
-    off = np.setdiff1d(np.arange(30), inst.support)
-    assert np.all(inst.e[off] == 0)
-    inst.validate()
-
-
-def test_from_direction_rejects_wrong_length():
-    spec = ErrorSpec(rho=0.3, magnitude_law="from_direction", direction=np.ones(4))
-    with pytest.raises(DomainError):
-        make_instance(30, 3, spec, SeedSpec(8, 0))
-
-
 def test_error_spec_validation():
     with pytest.raises(DomainError):
         ErrorSpec(rho=1.0)
     with pytest.raises(DomainError):
         ErrorSpec(rho=-0.1)
     with pytest.raises(DomainError):
-        ErrorSpec(rho=0.2, magnitude_law="unknown")
+        ErrorSpec(rho=0.2, fixed_signs={})
     with pytest.raises(DomainError):
-        ErrorSpec(rho=0.2, magnitude_law="constant")
-    with pytest.raises(DomainError):
-        ErrorSpec(rho=0.2, magnitude_law="constant", constant=-1.0)
-    with pytest.raises(DomainError):
-        ErrorSpec(rho=0.2, sign_policy="fixed")
-    with pytest.raises(DomainError):
-        ErrorSpec(rho=0.2, sign_policy="fixed", fixed_signs={1: 2})
-    with pytest.raises(DomainError):
-        ErrorSpec(rho=0.2, magnitude_law="from_direction")
-    with pytest.raises(DomainError):
-        ErrorSpec(
-            rho=0.2,
-            magnitude_law="from_direction",
-            direction=np.ones(3),
-            sign_policy="fixed",
-            fixed_signs={1: 1},
-        )
+        ErrorSpec(rho=0.2, fixed_signs={1: 2})
 
 
 def test_make_instance_rejects_bad_shapes():
     with pytest.raises(DomainError):
         make_instance(3, 5, ErrorSpec(rho=0.1), SeedSpec(0, 0))
-    with pytest.raises(DomainError):
-        make_instance(10, 2, ErrorSpec(rho=0.1), SeedSpec(0, 0), f_mode="other")
 
 
 def test_fixed_signs_out_of_range_rejected():
-    spec = ErrorSpec(rho=0.2, sign_policy="fixed", fixed_signs={25: 1})
+    spec = ErrorSpec(rho=0.2, fixed_signs={25: 1})
     with pytest.raises(DomainError):
         make_instance(20, 3, spec, SeedSpec(0, 0))
 

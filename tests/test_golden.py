@@ -2,8 +2,8 @@
 
 The same flags and seed must give the same bytes, across refactors and
 speedups alike.  Each digest is the SHA-256 of one command's stdout,
-recorded on NumPy 2.4 / OpenBLAS before the sweep decoded all the trials at
-one p as one stack, and unchanged by it.  A different BLAS build may move
+recorded on NumPy 2.4 / OpenBLAS before a refactor of the code behind it,
+and unchanged by that refactor.  A different BLAS build may move
 last digits; a change of code must not.
 """
 
@@ -56,6 +56,15 @@ GOLDEN = {
         ["attack", "--mode", "fixed_sign", "--m", "60", "--n", "4", "--p", "0.5",
          "--rho", "0.8", "--seed", "5"],
         "30c251b917846d411f6a6ebbb79fc59d2025de4d7d29b1c21b755b671a96ea2d",
+    ),
+    "threshold-derivative": (
+        ["threshold", "--p-min", "0.005", "--p-max", "1", "--steps", "200", "--derivative"],
+        "97b7f0ca8a437a14fd621ff34e7642b1205067663a7777da5a79c97b27ae47b8",
+    ),
+    "concentration": (
+        ["concentration", "--rho", "0.5:0.8:0.15", "--p", "0.5", "--m", "10000",
+         "--trials", "3", "--seed", "4"],
+        "f15ac4475dd3dbcb5c02897a09cec779cd53d628cf4155653ef5ca106a2f5dbd",
     ),
 }
 

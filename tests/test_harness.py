@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lpdecode import (
+    ConditionQuery,
     CurveRequest,
     DecoderConfig,
     DomainError,
@@ -13,12 +14,15 @@ from lpdecode import (
     SweepPlan,
     concentration_csv,
     apply_decoder_success,
+    attack_arbitrary,
     concentration_study,
     decode,
     estimate_threshold,
     lp_objective,
+    mc_threshold_oracle,
     phase_csv,
     run_sweep,
+    solve_zstar,
     trial_seeds,
 )
 from lpdecode import harness
@@ -32,15 +36,42 @@ INTEGER_FIELDS = {
     "master_seed": lambda v: SweepPlan(
         m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=1, master_seed=v
     ),
+    # concentration_study needs m >= 10000, so its m is given in units of 10^4
+    "concentration_study.m": lambda v: concentration_study(0.6, 0.5, v * 10_000, 1, 0),
+    "concentration_study.trials": lambda v: concentration_study(0.6, 0.5, 10_000, v, 0),
+    "run_sweep.jobs": lambda v: run_sweep(
+        SweepPlan(m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=1), jobs=v
+    ),
 }
 
 
 @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
 @pytest.mark.parametrize("bad", [2.5, float("nan"), "3"])
 def test_integer_fields_reject_non_integers(field, bad):
-    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+    name = field.rpartition(".")[2]
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
         INTEGER_FIELDS[field](bad)
     INTEGER_FIELDS[field](np.int64(3))
+
+
+# entry point -> call with p set to v
+P_ENTRY_POINTS = {
+    "DecoderConfig": lambda v: DecoderConfig(p=v),
+    "ConditionQuery": lambda v: ConditionQuery(a=np.eye(3), p=v, mode="unsigned", rho=0.2),
+    "attack_arbitrary": lambda v: attack_arbitrary(np.eye(3), np.ones(3), v, 0.2, np.ones(3)),
+    "SweepPlan": lambda v: SweepPlan(m=20, n=2, p_values=(v,), rho_values=(0.1,), trials=1),
+    "concentration_study": lambda v: concentration_study(0.6, v, 10_000, 1, 0),
+    "solve_zstar": solve_zstar,
+    "mc_threshold_oracle": lambda v: mc_threshold_oracle(v, 10_000, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(P_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [None, "x", float("nan"), 1.5])
+def test_entry_points_reject_p_outside_unit_interval(entry, bad):
+    with pytest.raises(DomainError, match=r"p must lie in \(0, 1\]"):
+        P_ENTRY_POINTS[entry](bad)
+    P_ENTRY_POINTS[entry](1.0)
 
 
 def _cells(rates, rhos, p=0.5, trials=100):
@@ -293,6 +324,36 @@ def test_run_sweep_rejects_bad_jobs():
     plan = SweepPlan(m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=1)
     with pytest.raises(DomainError):
         run_sweep(plan, jobs=0)
+
+
+def test_run_sweep_starts_no_more_workers_than_stacks(monkeypatch):
+    # a fork pool starts all max_workers processes at its first submit, so
+    # jobs past the stack count must not reach it; the fake pool maps serially
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    plan = SweepPlan(
+        m=30, n=4, p_values=(0.4, 0.8), rho_values=(0.1,), trials=2, master_seed=3
+    )
+    assert len(harness._stacks(plan)) == 2
+    assert phase_csv(run_sweep(plan, jobs=5000)) == phase_csv(run_sweep(plan))
+    assert sizes == [2]
+    # one stack runs in-process, with no pool at all
+    run_sweep(SweepPlan(m=30, n=4, p_values=(0.4,), rho_values=(0.1,), trials=2), jobs=5000)
+    assert sizes == [2]
 
 
 def test_singular_trial_logs_one_warning_and_leaves_the_others(monkeypatch, caplog):
