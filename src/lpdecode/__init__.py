@@ -25,7 +25,6 @@ from .decoder import (
     DecoderConfig,
     decode,
     lp_objective,
-    weighted_least_squares,
 )
 from .ensemble import (
     ErrorSpec,
@@ -40,15 +39,13 @@ from .ensemble import (
     write_instance,
 )
 from .errors import DomainError, LpdecodeError, NumericError, SingularityError
-from .halfnormal import cdf, mu, pdf
+from .halfnormal import mu
 from .harness import (
     ConcentrationReport,
     PhaseCell,
     SweepPlan,
-    ThresholdEstimate,
     concentration_csv,
     concentration_study,
-    estimate_threshold,
     phase_csv,
     run_sweep,
     trial_seeds,
@@ -83,13 +80,11 @@ __all__ = [
     "SeedSpec",
     "SingularityError",
     "SweepPlan",
-    "ThresholdEstimate",
     "ThresholdPoint",
     "apply_decoder_success",
     "attack_arbitrary",
     "attack_fixed_sign",
     "brute_force_min_margin",
-    "cdf",
     "ceil_count",
     "concentration_csv",
     "concentration_study",
@@ -97,7 +92,6 @@ __all__ = [
     "curve_csv",
     "decode",
     "drho_dp",
-    "estimate_threshold",
     "floor_count",
     "gaussian_matrix",
     "generator_from",
@@ -106,7 +100,6 @@ __all__ = [
     "mc_threshold_oracle",
     "mix64",
     "mu",
-    "pdf",
     "phase_csv",
     "read_instance",
     "report_json",
@@ -119,6 +112,5 @@ __all__ = [
     "support_margin",
     "trial_seeds",
     "unsigned_margin",
-    "weighted_least_squares",
     "write_instance",
 ]

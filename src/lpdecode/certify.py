@@ -32,7 +32,7 @@ import numpy as np
 
 from .ensemble import SeedSpec, ceil_count
 from .decoder import _norms
-from .errors import DomainError, NumericError, _require_int, _require_p
+from .errors import DomainError, NumericError, _require_int, _require_p, _require_rho
 
 _SEARCH_STEPS = 500
 _STEP_SCALE = 0.3
@@ -111,8 +111,7 @@ def _check_direction(a: np.ndarray, z) -> np.ndarray:
 
 def _support_size(rho: float | None, m: int) -> int:
     """ceil(rho m), the size of the worst-case support T, for rho in [0, 1]."""
-    if rho is None or not (0 <= rho <= 1):
-        raise DomainError(f"rho must lie in [0, 1], got {rho}")
+    _require_rho(rho)
     return ceil_count(rho, m)
 
 
@@ -184,6 +183,7 @@ def _coefficients(v: np.ndarray, k: int = 0, sgn=None, support=None) -> np.ndarr
 
 def support_margin(a: np.ndarray, p: float, support: np.ndarray, z) -> float:
     """Unsigned margin with an explicitly chosen support T."""
+    _require_p(p)
     a = np.asarray(a, dtype=float)
     v = a @ _check_direction(a, z)
     t, _ = _check_support(a.shape[0], support)
@@ -192,6 +192,7 @@ def support_margin(a: np.ndarray, p: float, support: np.ndarray, z) -> float:
 
 def unsigned_margin(a: np.ndarray, p: float, rho: float, z) -> float:
     """Margin against the worst support of size ceil(rho m) for this z."""
+    _require_p(p)
     a = np.asarray(a, dtype=float)
     v = a @ _check_direction(a, z)
     coef = _coefficients(v, k=_support_size(rho, a.shape[0]))
@@ -200,6 +201,7 @@ def unsigned_margin(a: np.ndarray, p: float, rho: float, z) -> float:
 
 def signed_margin(a: np.ndarray, p: float, support, signs: dict[int, int], z) -> float:
     """Margin when the error support and signs are fixed in advance."""
+    _require_p(p)
     a = np.asarray(a, dtype=float)
     v = a @ _check_direction(a, z)
     _, sgn = _check_support(a.shape[0], support, signs)
@@ -312,9 +314,13 @@ def search_violation(
 def brute_force_min_margin(
     q: ConditionQuery, resolution: float = 0.01
 ) -> tuple[float, np.ndarray]:
-    """Exhaustive minimum over a spherical grid; test oracle for n <= 3.
+    """Minimum margin over a spherical grid of directions; test oracle for n <= 3.
 
-    Grid cost grows like (2 pi / resolution)^(n-1), so larger n is refused.
+    The grid's minimum is an upper bound on the true minimum over the
+    sphere, not the minimum itself: at p < 1 the margin has cusps where
+    entries of A z vanish, minima sit on them, and a grid can step over a
+    violation.  Grid cost grows like (2 pi / resolution)^(n-1), so larger
+    n is refused.
     """
     n = q.a.shape[1]
     if n > 3:
@@ -352,8 +358,7 @@ def attack_arbitrary(
     f: np.ndarray,
     p: float,
     rho: float,
-    z=None,
-    seed: SeedSpec | None = None,
+    z,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Error pattern that makes f + z beat f whenever the unsigned margin of z
     is negative.
@@ -371,10 +376,6 @@ def attack_arbitrary(
         raise DomainError(f"f must have length n={n}, got shape {f.shape}")
     k = _support_size(rho, m)
     _require_p(p)
-    if z is None:
-        if seed is None:
-            raise DomainError("either z or seed must be given")
-        z = seed.generator().standard_normal(n)
     z = _check_direction(a, z)
 
     v = a @ z

@@ -123,7 +123,7 @@ def _cmd_decode(args) -> str:
             "objective": result.objective,
             "iterations": result.iterations,
             "converged": result.converged,
-            "success": apply_decoder_success(result.x_hat, inst.f, args.success_tol),
+            "success": apply_decoder_success(result.x_hat, inst.f),
             "max_abs_error": float(np.max(np.abs(result.x_hat - inst.f))),
             "x_hat": [float(v) for v in result.x_hat],
         }
@@ -263,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--rho", type=float)
     p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--success-tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int)
     p.set_defaults(handler=_cmd_decode)
 

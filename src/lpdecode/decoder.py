@@ -85,11 +85,6 @@ def lp_objective(r: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(np.asarray(r, dtype=float)) ** p))
 
 
-def _exponent(v: np.ndarray) -> int:
-    """The e with 2^(e-1) <= max|v| < 2^e (0 when v is all zero)."""
-    return math.frexp(float(np.max(np.abs(v), initial=0.0)))[1]
-
-
 def _solve(a, w, y):
     """One weighted least-squares solve per trial of a stack.
 
@@ -131,39 +126,6 @@ def _solve(a, w, y):
         )
         x[t] = 0.0
     return x, failed
-
-
-def weighted_least_squares(a: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """argmin_x sum_i w_i (y_i - (A x)_i)^2 by Cholesky of the weighted Gram
-    matrix A^T W A, without forming a Q: the one-trial form of the solve
-    step the decoder runs on its stacks.
-
-    A, y and w are first divided by powers of two, with w's even, so that
-    A^T W A is representable for any finite input; that scaling is exact,
-    and so is scaling x back.  The system counts as numerically rank
-    deficient, and SingularityError is raised, when the factorisation fails
-    or when the Cholesky pivots span more than 1/sqrt(eps).
-    """
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(w, dtype=float)
-    m, n = a.shape
-    if y.shape != (m,) or w.shape != (m,):
-        raise DomainError(f"shape mismatch: a is {a.shape}, y is {y.shape}, w is {w.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
-        raise DomainError("a and y must be finite")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0):
-        raise DomainError("weights must be finite and strictly positive")
-
-    # An even power of two for w keeps the Cholesky factor's scale a power
-    # of two too, so for inputs already in range no bit changes.
-    ea, ey, ew = _exponent(a), _exponent(y), _exponent(w) // 2 * 2
-    x, failed = _solve(
-        np.ldexp(a, -ea)[None], np.ldexp(w, -ew)[None], np.ldexp(y, -ey)[None]
-    )
-    if failed:
-        raise failed[0]
-    return np.ldexp(x[0], ey - ea)
 
 
 def _norms(v):

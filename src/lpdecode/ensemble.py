@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, _require_int
+from .errors import DomainError, _require_int, _require_rho
 from .seeding import generator_from
 
 # Guard against 0.29*100 = 28.999999999999996-style float droop in k = floor(rho*m).
@@ -67,7 +67,8 @@ class ErrorSpec:
     fixed_signs: dict[int, int] | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.rho) and 0 <= self.rho < 1):
+        _require_rho(self.rho)
+        if self.rho == 1:
             raise DomainError(f"rho must lie in [0, 1), got {self.rho}")
         if self.fixed_signs is not None:
             if not self.fixed_signs:
@@ -132,8 +133,7 @@ def draw_support_signs(m: int, rho: float, seed: SeedSpec) -> tuple[np.ndarray, 
     The support comes back sorted.  The draw order is frozen (support by
     ``choice``, then the signs), so a seed always gives the same pair.
     """
-    if not (math.isfinite(rho) and 0 <= rho <= 1):
-        raise DomainError(f"rho must lie in [0, 1], got {rho}")
+    _require_rho(rho)
     gen = seed.generator()
     k = floor_count(rho, m)
     support = np.sort(gen.choice(m, size=k, replace=False))

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all lpdecode modules, and its integer and p checks."""
+"""Exception hierarchy shared by all lpdecode modules, and its integer, p and rho checks."""
 
 import operator
 
@@ -35,3 +35,13 @@ def _require_p(p) -> None:
         in_range = False
     if not in_range:
         raise DomainError(f"p must lie in (0, 1], got {p!r}")
+
+
+def _require_rho(rho) -> None:
+    """Raise DomainError unless ``rho`` is a number in [0, 1]."""
+    try:
+        in_range = 0 <= rho <= 1
+    except TypeError:
+        in_range = False
+    if not in_range:
+        raise DomainError(f"rho must lie in [0, 1], got {rho!r}")

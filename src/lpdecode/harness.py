@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo experiments: phase sweeps, threshold fits, concentration.
+"""Seeded Monte Carlo experiments: phase sweeps and concentration studies.
 
 Every trial owns a named random stream derived from the plan's master seed
 and the (p index, rho index, trial index) coordinates, so results do not
@@ -26,14 +26,13 @@ from .ensemble import (
     floor_count,
     make_instance,
 )
-from .errors import DomainError, LpdecodeError, _require_int, _require_p
+from .errors import DomainError, LpdecodeError, _require_int, _require_p, _require_rho
 from .halfnormal import mu
 from .seeding import mix64
 
 log = logging.getLogger(__name__)
 
 _REGIMES = ("arbitrary", "fixed_sign", "adversarial")
-_LEVEL = 0.5
 # A sweep decodes the trials at one p in stacks of at most this many
 # entries of A (always at least one trial), so its memory does not grow
 # with the number of trials; each decoded stack holds about four copies of
@@ -56,6 +55,8 @@ class SweepPlan:
     def __post_init__(self):
         for p in self.p_values:
             _require_p(p)
+        for r in self.rho_values:
+            _require_rho(r)
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
         for name in ("m", "n", "trials", "master_seed"):
@@ -64,7 +65,7 @@ class SweepPlan:
             raise DomainError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
         if not self.p_values or not self.rho_values:
             raise DomainError("p and rho grids must be non-empty")
-        if any(not 0 <= r < 1 for r in self.rho_values):
+        if 1.0 in self.rho_values:
             raise DomainError("all rho values must lie in [0, 1)")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
@@ -97,15 +98,6 @@ class PhaseCell:
         return self.successes / self.trials
 
 
-@dataclass(frozen=True)
-class ThresholdEstimate:
-    """rho where the success rate crosses one half; ``crossed`` is False when
-    the grid never crosses and ``rho`` is then the nearer grid edge."""
-
-    rho: float
-    crossed: bool
-
-
 @dataclass(eq=False)
 class ConcentrationReport:
     """Empirical split of sum |x_i|^p mass for half-normal samples.
@@ -128,11 +120,10 @@ class ConcentrationReport:
 
 
 def trial_seeds(plan: SweepPlan, p_index: int, rho_index: int, trial: int):
-    """(instance, auxiliary, decoder) streams for one trial; frozen layout."""
+    """(instance, auxiliary) streams for one trial; frozen layout."""
     return (
         SeedSpec(plan.master_seed, mix64(p_index, rho_index, trial)),
         SeedSpec(plan.master_seed, mix64(p_index, rho_index, trial, 1)),
-        SeedSpec(plan.master_seed, mix64(p_index, rho_index, trial, 2)),
     )
 
 
@@ -189,7 +180,7 @@ def _run_stack(plan: SweepPlan, p_index: int, start: int, stop: int):
     outcomes, instances = {}, {}
     for k in range(start, stop):
         rho_index, trial = divmod(k, plan.trials)
-        inst_seed, aux_seed, _ = trial_seeds(plan, p_index, rho_index, trial)
+        inst_seed, aux_seed = trial_seeds(plan, p_index, rho_index, trial)
         try:
             instances[k] = _build_instance(
                 plan, p, plan.rho_values[rho_index], inst_seed, aux_seed
@@ -257,30 +248,6 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[PhaseCell]:
     return [_cell(plan, p, rho, flat[c * t : (c + 1) * t]) for c, (p, rho) in enumerate(grid)]
 
 
-def estimate_threshold(cells: list[PhaseCell]) -> ThresholdEstimate:
-    """Interpolate the rho where the success rate crosses one half along one
-    p slice."""
-    if len({c.p for c in cells}) != 1:
-        raise DomainError("threshold estimation needs cells at a single p")
-    rhos = [c.rho for c in cells]
-    if len(set(rhos)) != len(rhos):
-        raise DomainError("duplicate rho values in threshold estimation")
-    if len(rhos) < 4:
-        raise DomainError("threshold estimation needs at least 4 distinct rho values")
-    ordered = sorted(cells, key=lambda c: c.rho)
-    rates = [c.success_rate for c in ordered]
-    if rates[0] < _LEVEL:
-        return ThresholdEstimate(rho=ordered[0].rho, crossed=False)
-    for i in range(len(ordered) - 1):
-        if rates[i] >= _LEVEL and rates[i + 1] < _LEVEL:
-            r0, r1 = ordered[i].rho, ordered[i + 1].rho
-            s0, s1 = rates[i], rates[i + 1]
-            return ThresholdEstimate(
-                rho=r0 + (s0 - _LEVEL) * (r1 - r0) / (s0 - s1), crossed=True
-            )
-    return ThresholdEstimate(rho=ordered[-1].rho, crossed=False)
-
-
 def concentration_study(
     rho: float, p: float, m: int, trials: int, seed: int
 ) -> ConcentrationReport:
@@ -298,7 +265,8 @@ def concentration_study(
         raise DomainError(f"concentration study needs m >= 10000, got {m}")
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    if not (0 <= rho < 1):
+    _require_rho(rho)
+    if rho == 1:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
     _require_p(p)
 

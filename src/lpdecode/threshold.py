@@ -54,9 +54,11 @@ class CurveRequest:
     with_derivative: bool = False
 
     def __post_init__(self):
-        if not (0 < self.p_min <= self.p_max <= 1):
+        _require_p(self.p_min)
+        _require_p(self.p_max)
+        if self.p_min > self.p_max:
             raise DomainError(
-                f"need 0 < p_min <= p_max <= 1, got p_min={self.p_min}, p_max={self.p_max}"
+                f"need p_min <= p_max, got p_min={self.p_min}, p_max={self.p_max}"
             )
         _require_int("steps", self.steps)
         if self.steps < 1:

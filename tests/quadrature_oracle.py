@@ -16,13 +16,16 @@ import math
 
 from scipy.integrate import quad
 
-from lpdecode import pdf
-
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 TOL = 1e-12
 Z_MAX = 10.0
 # Below this point integrands are replaced by their series expansion.
 NEAR_ZERO_SPLIT = 1e-3
+
+
+def pdf(z: float) -> float:
+    """Half-normal density sqrt(2/pi) * exp(-z**2/2) at ``z >= 0``."""
+    return SQRT_2_OVER_PI * math.exp(-0.5 * z * z)
 
 
 def _quad(fn, a, b):

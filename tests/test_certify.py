@@ -376,17 +376,6 @@ def test_attack_arbitrary_fails_below_threshold():
     assert hits >= 38
 
 
-def test_attack_arbitrary_draws_z_from_seed():
-    a = gaussian_matrix(40, 4, SeedSpec(116, 0))
-    f = np.zeros(4)
-    e1, x1 = attack_arbitrary(a, f, 0.5, 0.3, seed=SeedSpec(117, 0))
-    e2, x2 = attack_arbitrary(a, f, 0.5, 0.3, seed=SeedSpec(117, 0))
-    np.testing.assert_array_equal(e1, e2)
-    np.testing.assert_array_equal(x1, x2)
-    with pytest.raises(DomainError):
-        attack_arbitrary(a, f, 0.5, 0.3)
-
-
 def test_attack_fixed_sign_handmade():
     a = np.array([[1.0], [2.0], [3.0], [1.0], [0.5], [0.5]])
     support = np.array([0, 1, 2, 3])

@@ -505,13 +505,28 @@ def test_malformed_fixture_exits_with_one_line(capsys, tmp_path, corrupt):
     assert "malformed fixture" in err
 
 
-def test_threshold_tol_flag_is_gone(capsys):
+# Flags that were removed, with a run that passes one; argparse must refuse it.
+REMOVED_FLAGS = {
     # z* is computed in closed form, so there is no search tolerance to set
-    rc, _, err = run(
-        capsys, ["threshold", "--p-min", "1", "--p-max", "1", "--steps", "1", "--tol", "1e-3"]
-    )
+    "threshold-tol": (
+        "--tol", ["threshold", "--p-min", "1", "--p-max", "1", "--steps", "1", "--tol", "1e-3"]
+    ),
+    # decode reports success at the one tolerance every caller used, 1e-4
+    "decode-success-tol": (
+        "--success-tol",
+        ["decode", "--p", "0.5", "--m", "20", "--n", "2", "--rho", "0.1", "--seed", "0",
+         "--success-tol", "1e-3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_FLAGS))
+def test_removed_flag_is_refused(capsys, name):
+    flag, argv = REMOVED_FLAGS[name]
+    rc, out, err = run(capsys, argv)
     assert rc == 1
-    assert "--tol" in err
+    assert out == ""
+    assert flag in err
 
 
 def test_python_m_runs_cli(tmp_path):

@@ -47,6 +47,12 @@ GOLDEN = {
          "--rho", "0.45", "--restarts", "4", "--seed", "2"],
         "ddede4ccb36ceccbe24b78132a71f8399676eae4f9beae503b6a3cbd0ae961c1",
     ),
+    # signed mode on a drawn support and signs; the search finds a violation
+    "certify-signed": (
+        ["certify", "--mode", "signed", "--p", "0.5", "--m", "60", "--n", "6", "--rho", "0.7",
+         "--restarts", "4", "--seed", "3"],
+        "1d901b536ab2afbce11dad177dc6875e8d3e90ea7d8ec8cf7d172491690d6eea",
+    ),
     "attack-arbitrary-readme": (
         ["attack", "--mode", "arbitrary", "--m", "400", "--n", "20", "--p", "0.5",
          "--rho", "0.45", "--seed", "7"],

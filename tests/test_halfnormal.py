@@ -1,4 +1,4 @@
-"""Half-normal density, cdf and moments, and the quadrature oracle they are
+"""Half-normal moments, and the quadrature oracle and density they are
 checked against."""
 
 import math
@@ -12,8 +12,8 @@ from scipy.integrate import quad
 from scipy.special import digamma
 
 import lpdecode
-from lpdecode import DomainError, cdf, mu, pdf
-from quadrature_oracle import TOL, Z_MAX, log_moment_integrals, tail_moment
+from lpdecode import DomainError, mu
+from quadrature_oracle import TOL, Z_MAX, log_moment_integrals, pdf, tail_moment
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -42,30 +42,6 @@ def test_pdf_normalizes():
     total, err = quad(pdf, 0.0, np.inf)
     assert total == pytest.approx(1.0, abs=1e-10)
     assert err < 1e-6
-
-
-def test_pdf_rejects_negative_argument():
-    with pytest.raises(DomainError):
-        pdf(-0.1)
-
-
-def test_cdf_at_zero():
-    assert cdf(0.0) == 0.0
-
-
-def test_cdf_median():
-    # median of |X| for standard normal X, from erf(z / sqrt 2) = 1/2
-    assert cdf(0.6744897501960817) == pytest.approx(0.5, abs=1e-10)
-
-
-def test_cdf_saturates_by_eight():
-    assert cdf(8.0) == pytest.approx(1.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("z", [0.1, 0.5, 1.0, 1.7, 2.5, 4.0])
-def test_cdf_matches_closed_form(z):
-    by_quadrature, _ = quad(pdf, 0.0, z, epsabs=1e-12, epsrel=1e-12)
-    np.testing.assert_allclose(cdf(z), by_quadrature, atol=1e-11)
 
 
 def test_mu_p1_closed_form():

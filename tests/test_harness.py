@@ -1,4 +1,4 @@
-"""Monte Carlo sweeps, threshold fits, and concentration studies."""
+"""Monte Carlo sweeps, concentration studies, and the checks of public arguments."""
 
 import logging
 
@@ -10,22 +10,27 @@ from lpdecode import (
     CurveRequest,
     DecoderConfig,
     DomainError,
+    ErrorSpec,
     PhaseCell,
+    SeedSpec,
     SweepPlan,
     concentration_csv,
     apply_decoder_success,
     attack_arbitrary,
     concentration_study,
     decode,
-    estimate_threshold,
     lp_objective,
     mc_threshold_oracle,
     phase_csv,
     run_sweep,
+    signed_margin,
     solve_zstar,
+    support_margin,
     trial_seeds,
+    unsigned_margin,
 )
 from lpdecode import harness
+from lpdecode.ensemble import draw_support_signs
 
 INTEGER_FIELDS = {
     "restarts": lambda v: DecoderConfig(p=0.5, restarts=v),
@@ -63,6 +68,11 @@ P_ENTRY_POINTS = {
     "concentration_study": lambda v: concentration_study(0.6, v, 10_000, 1, 0),
     "solve_zstar": solve_zstar,
     "mc_threshold_oracle": lambda v: mc_threshold_oracle(v, 10_000, 0),
+    "CurveRequest.p_min": lambda v: CurveRequest(p_min=v, p_max=1.0, steps=2),
+    "CurveRequest.p_max": lambda v: CurveRequest(p_min=0.5, p_max=v, steps=2),
+    "support_margin": lambda v: support_margin(np.eye(3), v, [0], np.ones(3)),
+    "unsigned_margin": lambda v: unsigned_margin(np.eye(3), v, 0.2, np.ones(3)),
+    "signed_margin": lambda v: signed_margin(np.eye(3), v, [0], {0: 1}, np.ones(3)),
 }
 
 
@@ -72,6 +82,26 @@ def test_entry_points_reject_p_outside_unit_interval(entry, bad):
     with pytest.raises(DomainError, match=r"p must lie in \(0, 1\]"):
         P_ENTRY_POINTS[entry](bad)
     P_ENTRY_POINTS[entry](1.0)
+
+
+# entry point -> call with rho set to v
+RHO_ENTRY_POINTS = {
+    "ErrorSpec": lambda v: ErrorSpec(rho=v),
+    "draw_support_signs": lambda v: draw_support_signs(20, v, SeedSpec(0, 0)),
+    "SweepPlan": lambda v: SweepPlan(m=20, n=2, p_values=(0.5,), rho_values=(v,), trials=1),
+    "concentration_study": lambda v: concentration_study(v, 0.5, 10_000, 1, 0),
+    "ConditionQuery": lambda v: ConditionQuery(a=np.eye(3), p=0.5, mode="unsigned", rho=v),
+    "unsigned_margin": lambda v: unsigned_margin(np.eye(3), 0.5, v, np.ones(3)),
+    "attack_arbitrary": lambda v: attack_arbitrary(np.eye(3), np.ones(3), 0.5, v, np.ones(3)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RHO_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [None, "x", float("nan"), 1.5])
+def test_entry_points_reject_rho_outside_unit_interval(entry, bad):
+    with pytest.raises(DomainError, match=r"rho must lie in \[0, 1\]"):
+        RHO_ENTRY_POINTS[entry](bad)
+    RHO_ENTRY_POINTS[entry](0.5)
 
 
 def _cells(rates, rhos, p=0.5, trials=100):
@@ -116,7 +146,7 @@ def test_trial_seeds_distinct():
         for ri in range(2):
             for t in range(3):
                 seen.update(trial_seeds(plan, pi, ri, t))
-    assert len(seen) == 2 * 2 * 3 * 3
+    assert len(seen) == 2 * 2 * 3 * 2
 
 
 def test_noiseless_cell_all_succeed():
@@ -191,54 +221,6 @@ def test_sweep_adversarial_regime_breaks_recovery():
     (rand_cell,) = run_sweep(random_plan)
     (attack_cell,) = run_sweep(attack_plan)
     assert attack_cell.success_rate < rand_cell.success_rate
-
-
-def test_estimate_threshold_midpoint():
-    cells = _cells([1.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4])
-    est = estimate_threshold(cells)
-    assert est.crossed
-    assert est.rho == pytest.approx(0.25)
-
-
-def test_estimate_threshold_interpolates_within_interval():
-    cells = _cells([1.0, 0.9, 0.2, 0.0], [0.1, 0.2, 0.3, 0.4])
-    est = estimate_threshold(cells)
-    assert est.crossed
-    assert 0.2 < est.rho < 0.3
-    # linear interpolation between the bracketing rates
-    assert est.rho == pytest.approx(0.2 + 0.1 * (0.9 - 0.5) / (0.9 - 0.2))
-
-
-def test_estimate_threshold_boundary_flags():
-    low = estimate_threshold(_cells([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]))
-    assert not low.crossed and low.rho == 0.1
-    high = estimate_threshold(_cells([1.0, 1.0, 0.9, 0.8], [0.1, 0.2, 0.3, 0.4]))
-    assert not high.crossed and high.rho == 0.4
-
-
-def test_estimate_threshold_validation():
-    with pytest.raises(DomainError):
-        estimate_threshold(_cells([1.0, 0.0, 0.0], [0.1, 0.2, 0.3]))
-    with pytest.raises(DomainError):
-        estimate_threshold(_cells([1.0, 0.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.3]))
-    mixed = _cells([1.0, 0.0], [0.1, 0.2]) + _cells([1.0, 0.0], [0.3, 0.4], p=0.7)
-    with pytest.raises(DomainError):
-        estimate_threshold(mixed)
-
-
-def test_estimate_threshold_l1_sweep_consistent_with_worst_case_bound():
-    # random-error recovery cannot be harder than the worst case, so the
-    # empirical p=1 crossing must sit at or above roughly 0.239
-    plan = SweepPlan(
-        m=400,
-        n=20,
-        p_values=(1.0,),
-        rho_values=(0.2, 0.3, 0.4, 0.5, 0.6, 0.7),
-        trials=15,
-        master_seed=77,
-    )
-    est = estimate_threshold(run_sweep(plan))
-    assert est.rho >= 0.239 - 0.05
 
 
 def test_concentration_ratios_and_determinism():
@@ -378,7 +360,7 @@ def test_singular_trial_logs_one_warning_and_leaves_the_others(monkeypatch, capl
     assert "trial=2" in caplog.records[0].getMessage()
     assert cell.errors == 1
 
-    insts = [build(plan, 0.5, 0.2, *trial_seeds(plan, 0, 0, t)[:2]) for t in (0, 1, 3)]
+    insts = [build(plan, 0.5, 0.2, *trial_seeds(plan, 0, 0, t)) for t in (0, 1, 3)]
     results = [decode(i.a, i.y, DecoderConfig(p=0.5)) for i in insts]
     assert cell.trials == 4
     assert cell.successes == sum(
