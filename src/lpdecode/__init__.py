@@ -17,7 +17,6 @@ from .certify import (
     report_json,
     search_violation,
     signed_margin,
-    support_margin,
     unsigned_margin,
 )
 from .decoder import (
@@ -109,7 +108,6 @@ __all__ = [
     "signed_margin",
     "solve_zstar",
     "splitmix64",
-    "support_margin",
     "trial_seeds",
     "unsigned_margin",
     "write_instance",

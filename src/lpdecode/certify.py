@@ -7,19 +7,26 @@ margin at error fraction rho is
 
 with T the ceil(rho m) indices of largest |v_i|.  Recovery of every message
 under every error pattern of that size requires a non-negative margin for
-all z.  When the error support T and its signs are fixed, only the entries
-of T fighting the error count, and the margin becomes
+all z.  When the error support T and its signs are fixed, the adversary
+still picks the magnitudes.  For p < 1 it can make the entries of T that
+agree with their sign cost nothing, so only the entries of T fighting the
+error count, and the margin becomes
 
     sum_{i not in T} |v_i|^p - sum_{i in T-} |v_i|^p,
 
-where T- = {i in T : v_i * signs[i] < 0}.  Both margins are homogeneous of
+where T- = {i in T : v_i * signs[i] < 0}.  At p = 1 the agreeing entries
+T+ (the rest of T) count for recovery whatever their magnitude, the margin is
+sum_{i not in T-} |v_i| - sum_{i in T-} |v_i|, and the fixed-sign
+threshold is 1 instead of 2/3.  All these margins are homogeneous of
 degree p in z, so searches live on the unit sphere.  A strictly negative
 margin is constructive: it converts into an explicit error vector under
 which the decoder prefers a wrong codeword.
 
 Every margin here is sum_i c_i |v_i|^p with coefficients c_i in {+1, 0, -1};
-``_coefficients`` is the one place that picks T (unsigned) or T- (signed)
-and so decides which entries count against recovery.
+``_coefficients`` is the one place that picks them (T unsigned; T-, and T+
+by p, signed) and so decides which entries count against recovery.  Every
+public function takes or builds a ``ConditionQuery``, which checks its
+inputs once.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ import numpy as np
 
 from .ensemble import SeedSpec, ceil_count
 from .decoder import _norms
-from .errors import DomainError, NumericError, _require_int, _require_p, _require_rho
+from .errors import DomainError, NumericError, _require_in, _require_indices
+from .errors import _require_int, _require_p, _require_rho
 
 _SEARCH_STEPS = 500
 _STEP_SCALE = 0.3
@@ -45,11 +53,13 @@ _BLOCK_ENTRIES = 2**14
 
 @dataclass(frozen=True, eq=False)
 class ConditionQuery:
-    """Which null-space condition to probe on which matrix.
+    """Which null-space condition to probe on which matrix, with its inputs
+    checked: every function of this module takes or builds one.
 
-    ``mode`` is ``unsigned`` (needs ``rho``) or ``signed`` (needs ``support``
-    and ``signs``).  ``z`` optionally supplies a starting direction for the
-    violation search.
+    ``mode`` is ``unsigned`` (needs ``rho``) or ``signed`` (needs ``support``,
+    distinct integer indices, and ``signs``, +1 or -1 for each of them).
+    ``z``, a nonzero direction, is where the margins and attacks evaluate
+    and where the violation search starts.
     """
 
     a: np.ndarray
@@ -59,32 +69,40 @@ class ConditionQuery:
     support: np.ndarray | None = None
     signs: dict[int, int] | None = None
     z: np.ndarray | None = None
+    # ceil(rho m), the size of T (unsigned mode)
+    _k: int = field(init=False, default=0, repr=False)
+    # the length-m sign vector, the signs on the support and 0 off it (signed mode)
     _sgn: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
+        a = _finite("a", self.a)
         if a.ndim != 2 or a.shape[1] < 1 or a.shape[0] < a.shape[1]:
             raise DomainError(f"a must be m x n with m >= n >= 1, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("a must be finite")
+        m, n = a.shape
         object.__setattr__(self, "a", a)
         _require_p(self.p)
         if self.mode == "unsigned":
-            _support_size(self.rho, a.shape[0])
+            _require_rho(self.rho)
+            object.__setattr__(self, "_k", ceil_count(self.rho, m))
         elif self.mode == "signed":
-            if self.support is None or self.signs is None:
+            if self.support is None or not isinstance(self.signs, dict):
                 raise DomainError("signed mode needs a support and a sign map")
-            support, sgn = _check_support(a.shape[0], self.support, self.signs)
-            object.__setattr__(self, "support", support)
+            t = _require_indices("support", self.support, m)
+            if len(np.unique(t)) != t.size:
+                raise DomainError("support indices must be distinct")
+            _require_indices("sign map keys", list(self.signs), m)
+            if any(self.signs.get(int(i)) not in (-1, 1) for i in t):
+                raise DomainError("the sign map must give each support index +1 or -1")
+            sgn = np.zeros(m)
+            sgn[t] = [self.signs[int(i)] for i in t]
+            object.__setattr__(self, "support", t)
             object.__setattr__(self, "_sgn", sgn)
         else:
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.z is not None:
-            z = np.asarray(self.z, dtype=float)
-            if z.shape != (a.shape[1],):
-                raise DomainError(f"z must have length n={a.shape[1]}, got shape {z.shape}")
-            if not np.all(np.isfinite(z)):
-                raise DomainError("z must be finite")
+            z = _finite("z", self.z, (n,))
+            if not np.any(z):
+                raise DomainError("direction z must be nonzero")
             object.__setattr__(self, "z", z)
 
 
@@ -98,43 +116,18 @@ class CertifyReport:
     restarts_used: int
 
 
-def _check_direction(a: np.ndarray, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (a.shape[1],):
-        raise DomainError(f"z must have length n={a.shape[1]}, got shape {z.shape}")
-    if not np.any(z):
-        raise DomainError("direction z must be nonzero")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(z))):
-        raise DomainError("a and z must be finite")
-    return z
-
-
-def _support_size(rho: float | None, m: int) -> int:
-    """ceil(rho m), the size of the worst-case support T, for rho in [0, 1]."""
-    _require_rho(rho)
-    return ceil_count(rho, m)
-
-
-def _check_support(m: int, support, signs: dict[int, int] | None = None):
-    """``support`` as distinct int64 indices into range(m), and with ``signs``
-    (a sign of +1 or -1 for every index) the length-m sign vector that holds
-    those signs on the support and 0 off it; without ``signs`` that vector is
-    None."""
-    t = np.asarray(support, dtype=np.int64)
-    if t.size and (t.min() < 0 or t.max() >= m):
-        raise DomainError("support indices out of range")
-    if len(np.unique(t)) != t.size:
-        raise DomainError("support indices must be distinct")
-    if signs is None:
-        return t, None
-    missing = [int(i) for i in t if int(i) not in signs]
-    if missing:
-        raise DomainError(f"sign map misses support indices {missing}")
-    if any(signs[int(i)] not in (-1, 1) for i in t):
-        raise DomainError("signs must be +1 or -1")
-    sgn = np.zeros(m)
-    sgn[t] = [signs[int(i)] for i in t]
-    return t, sgn
+def _finite(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """``value`` as a float array; DomainError unless it is numeric, finite
+    and, when ``shape`` is given, of that shape."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be an array of numbers") from None
+    if shape is not None and arr.shape != shape:
+        raise DomainError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return arr
 
 
 def _top_k(absv: np.ndarray, k: int) -> np.ndarray:
@@ -162,57 +155,39 @@ def _top_k(absv: np.ndarray, k: int) -> np.ndarray:
     return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
-def _coefficients(v: np.ndarray, k: int = 0, sgn=None, support=None) -> np.ndarray:
-    """Coefficients c of the margin sum_i c_i |v_i|^p, for v of shape (m,) or
-    (R, m) (one row per direction).
+def _coefficients(q: ConditionQuery, v: np.ndarray) -> np.ndarray:
+    """Coefficients c of the margin sum_i c_i |v_i|^p under the condition ``q``
+    names, for v of shape (m,) or (R, m) (one row per direction).
 
-    Signed condition (``sgn`` is the length-m sign vector, 0 off the support):
-    +1 off the support, -1 on T- (entries opposing their sign), 0 on the rest
-    of the support.  Unsigned condition: -1 on T and +1 off it, where T is
-    ``support`` when given (v of shape (m,) only) and otherwise the k largest
-    |v_i| of each row, ties going to the lower index (``_top_k``).
+    Unsigned: -1 on T and +1 off it, T the ceil(rho m) largest |v_i| of each
+    row, ties going to the lower index (``_top_k``).  Signed: +1 off the
+    support and -1 on T- (entries opposing their sign).  The rest of the
+    support, T+, gets the least over magnitudes M of |M + |v_i||^p - M^p,
+    in units of |v_i|^p: 0 for p < 1, where that least value is 0 (as M
+    grows), and +1 at p = 1, where it is |v_i| for every M.
     """
-    if sgn is not None:
-        return np.subtract(sgn == 0, v * sgn < 0, dtype=float)
-    if support is None:
-        return np.where(_top_k(np.abs(v), k), -1.0, 1.0)
-    coef = np.ones(v.shape)
-    coef[support] = -1.0
-    return coef
+    if q.mode == "unsigned":
+        return np.where(_top_k(np.abs(v), q._k), -1.0, 1.0)
+    opposing = v * q._sgn < 0
+    if q.p == 1:
+        return np.where(opposing, -1.0, 1.0)
+    return np.subtract(q._sgn == 0, opposing, dtype=float)
 
 
-def support_margin(a: np.ndarray, p: float, support: np.ndarray, z) -> float:
-    """Unsigned margin with an explicitly chosen support T."""
-    _require_p(p)
-    a = np.asarray(a, dtype=float)
-    v = a @ _check_direction(a, z)
-    t, _ = _check_support(a.shape[0], support)
-    return float(np.dot(_coefficients(v, support=t), np.abs(v) ** p))
+def _margin(q: ConditionQuery) -> float:
+    """The margin of the condition ``q`` names at ``q.z``."""
+    v = q.a @ q.z
+    return float(np.dot(_coefficients(q, v), np.abs(v) ** q.p))
 
 
 def unsigned_margin(a: np.ndarray, p: float, rho: float, z) -> float:
     """Margin against the worst support of size ceil(rho m) for this z."""
-    _require_p(p)
-    a = np.asarray(a, dtype=float)
-    v = a @ _check_direction(a, z)
-    coef = _coefficients(v, k=_support_size(rho, a.shape[0]))
-    return float(np.dot(coef, np.abs(v) ** p))
+    return _margin(ConditionQuery(a=a, p=p, mode="unsigned", rho=rho, z=z))
 
 
 def signed_margin(a: np.ndarray, p: float, support, signs: dict[int, int], z) -> float:
     """Margin when the error support and signs are fixed in advance."""
-    _require_p(p)
-    a = np.asarray(a, dtype=float)
-    v = a @ _check_direction(a, z)
-    _, sgn = _check_support(a.shape[0], support, signs)
-    return float(np.dot(_coefficients(v, sgn=sgn), np.abs(v) ** p))
-
-
-def _query_coefficients(q: ConditionQuery, v: np.ndarray) -> np.ndarray:
-    """``_coefficients`` under the condition ``q`` names."""
-    if q.mode == "unsigned":
-        return _coefficients(v, k=_support_size(q.rho, q.a.shape[0]))
-    return _coefficients(v, sgn=q._sgn)
+    return _margin(ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs, z=z))
 
 
 def _margins_and_subgrads(q: ConditionQuery, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +203,7 @@ def _margins_and_subgrads(q: ConditionQuery, z: np.ndarray) -> tuple[np.ndarray,
     # |v|^(p-1) blows up at v = 0 for p < 1; floor it relative to the scale.
     floor = _GRAD_FLOOR * (absv.max(axis=1, keepdims=True) + 1e-300)
     dfac = p * np.maximum(absv, floor) ** (p - 1.0) * np.sign(v)
-    coef = _query_coefficients(q, v)
+    coef = _coefficients(q, v)
     margins = (coef[:, None, :] @ pw[:, :, None])[:, 0, 0]
     grads = (a.T @ (coef * dfac)[:, :, None])[:, :, 0]
     return margins, grads
@@ -293,7 +268,7 @@ def search_violation(
     for first in range(0, restarts, size):
         z = np.empty((min(size, restarts - first), n))
         for r in range(len(z)):
-            if first + r == 0 and q.z is not None and np.any(q.z):
+            if first + r == 0 and q.z is not None:
                 z[r] = q.z / np.linalg.norm(q.z)
             else:
                 z[r] = gen.standard_normal(n)
@@ -325,8 +300,7 @@ def brute_force_min_margin(
     n = q.a.shape[1]
     if n > 3:
         raise DomainError("brute-force sphere search supports n <= 3 only")
-    if resolution <= 0:
-        raise DomainError("resolution must be positive")
+    _require_in("resolution", resolution, lambda r: 0 < r < math.inf, "(0, inf)")
     if n == 1:
         z = np.array([[1.0, -1.0]])
     elif n == 2:
@@ -347,7 +321,7 @@ def brute_force_min_margin(
     margins = np.empty(z.shape[1])
     for j in range(0, z.shape[1], step):
         v = q.a @ z[:, j : j + step]
-        coef = _query_coefficients(q, v.T).T
+        coef = _coefficients(q, v.T).T
         margins[j : j + step] = np.einsum("ij,ij->j", coef, np.abs(v) ** q.p)
     best = int(np.argmin(margins))
     return float(margins[best]), z[:, best].copy()
@@ -369,20 +343,13 @@ def attack_arbitrary(
         ||y - A x_alt||_p^p = sum_{i not in T} |(A z)_i|^p
         ||y - A f||_p^p     = sum_{i in T} |(A z)_i|^p.
     """
-    a = np.asarray(a, dtype=float)
-    f = np.asarray(f, dtype=float)
-    m, n = a.shape
-    if f.shape != (n,):
-        raise DomainError(f"f must have length n={n}, got shape {f.shape}")
-    k = _support_size(rho, m)
-    _require_p(p)
-    z = _check_direction(a, z)
-
-    v = a @ z
-    t = _coefficients(v, k=k) < 0
-    e = np.zeros(m)
+    q = ConditionQuery(a=a, p=p, mode="unsigned", rho=rho, z=z)
+    f = _finite("f", f, (q.a.shape[1],))
+    v = q.a @ q.z
+    t = _coefficients(q, v) < 0
+    e = np.zeros(len(v))
     e[t] = v[t]
-    return e, f + z
+    return e, f + q.z
 
 
 def attack_fixed_sign(
@@ -395,29 +362,24 @@ def attack_fixed_sign(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Error pattern with prescribed support and signs that makes f - z win.
 
-    Needs p < 1 and a strictly negative signed margin -delta at z.  On
+    Needs a strictly negative signed margin -delta at z.  On
     T- = {i in T : (A z)_i signs_i < 0} set e_i = -(A z)_i (which has the
-    required sign); on the rest of T set e_i = signs_i * M with M doubled
-    until the head's contribution to
+    required sign); on the rest of T, T+, set e_i = signs_i * M.  Then
 
-        ||e + A z||_p^p - ||e||_p^p = margin + sum_{T+} (|M + |(A z)_i||^p - M^p)
+        ||e + A z||_p^p - ||e||_p^p
+            = margin + sum_{T+} (|M + |(A z)_i||^p - M^p - c |(A z)_i|^p),
 
-    drops below delta / 2.  For p < 1 each head term decays like M^(p-1),
-    so escalation terminates; the alternative x_alt = f - z then satisfies
+    c being the coefficient ``_coefficients`` gives T+.  At p = 1, c = 1 and
+    every head term is 0 whatever M is.  For p < 1, c = 0, and M is doubled
+    until the head terms, which decay like M^(p-1), sum to less than
+    delta / 2.  Either way the alternative x_alt = f - z satisfies
     ||y - A x_alt||_p^p <= ||e||_p^p - delta / 2.
     """
-    a = np.asarray(a, dtype=float)
-    f = np.asarray(f, dtype=float)
-    m, n = a.shape
-    if f.shape != (n,):
-        raise DomainError(f"f must have length n={n}, got shape {f.shape}")
-    if not (0 < p < 1):
-        raise DomainError(f"fixed-sign attack requires p in (0, 1) strictly, got {p}")
-    z = _check_direction(a, z)
-    _, sgn = _check_support(m, support, signs)
-    v = a @ z
-    coef = _coefficients(v, sgn=sgn)
-    margin = float(np.dot(coef, np.abs(v) ** p))
+    q = ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs, z=z)
+    f = _finite("f", f, (q.a.shape[1],))
+    v = q.a @ q.z
+    coef = _coefficients(q, v)
+    margin = float(np.dot(coef, np.abs(v) ** q.p))
     if not margin < 0:
         raise DomainError(
             f"fixed-sign attack requires a strictly negative signed margin, got {margin}"
@@ -425,15 +387,15 @@ def attack_fixed_sign(
     delta = -margin
 
     t_minus = coef < 0
-    t_plus = coef == 0
-    e = np.zeros(m)
+    t_plus = (q._sgn != 0) & ~t_minus
+    e = np.zeros(len(v))
     e[t_minus] = -v[t_minus]
-    if np.any(t_plus):
+    base = _HEAD_SCALE * max(np.max(np.abs(v)), 1e-300)
+    magnitude = base
+    if q.p < 1:
         head_abs = np.abs(v[t_plus])
-        base = _HEAD_SCALE * max(np.max(np.abs(v)), 1e-300)
-        magnitude = base
         while True:
-            gap = float(np.sum((magnitude + head_abs) ** p - magnitude**p))
+            gap = float(np.sum((magnitude + head_abs) ** q.p - magnitude**q.p))
             if gap < delta / 2:
                 break
             if magnitude >= base * 2.0**60:
@@ -442,8 +404,8 @@ def attack_fixed_sign(
                     f"delta / 2 (p={p}, delta={delta:.3e})"
                 )
             magnitude *= 2.0
-        e[t_plus] = sgn[t_plus] * magnitude
-    return e, f - z
+    e[t_plus] = q._sgn[t_plus] * magnitude
+    return e, f - q.z
 
 
 def report_json(report: CertifyReport, query: ConditionQuery) -> str:

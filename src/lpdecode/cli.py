@@ -191,8 +191,6 @@ def _cmd_attack(args) -> str:
                 "succeeded": bool(obj_alt <= obj_f),
             }
         )
-    if not args.p < 1:
-        raise _UsageError("fixed_sign attack requires p < 1")
     support, signs = draw_support_signs(args.m, args.rho, SeedSpec(seed, 3))
     query = ConditionQuery(a=a, p=args.p, mode="signed", support=support, signs=signs)
     found = search_violation(query, restarts=args.restarts, seed=SeedSpec(seed, 2))

@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dposv
 
 from .ensemble import SeedSpec
 from .errors import DomainError, LpdecodeError, NumericError, SingularityError
-from .errors import _require_int, _require_p
+from .errors import _require_in, _require_int, _require_p
 
 
 _EPS_MIN = 1e-8
@@ -80,8 +80,7 @@ class DecodeResult:
 
 def lp_objective(r: np.ndarray, p: float) -> float:
     """sum_i |r_i|^p for p in (0, 2]."""
-    if not (0 < p <= 2):
-        raise DomainError(f"p must lie in (0, 2], got {p}")
+    _require_in("p", p, lambda v: 0 < v <= 2, "(0, 2]")
     return float(np.sum(np.abs(np.asarray(r, dtype=float)) ** p))
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, _require_int, _require_rho
+from .errors import DomainError, _require_in, _require_indices, _require_int, _require_rho
 from .seeding import generator_from
 
 # Guard against 0.29*100 = 28.999999999999996-style float droop in k = floor(rho*m).
@@ -71,7 +71,7 @@ class ErrorSpec:
         if self.rho == 1:
             raise DomainError(f"rho must lie in [0, 1), got {self.rho}")
         if self.fixed_signs is not None:
-            if not self.fixed_signs:
+            if not isinstance(self.fixed_signs, dict) or not self.fixed_signs:
                 raise DomainError("fixed_signs must be a non-empty map")
             if any(s not in (-1, 1) for s in self.fixed_signs.values()):
                 raise DomainError("fixed_signs values must be +1 or -1")
@@ -156,9 +156,7 @@ def make_instance(m: int, n: int, spec: ErrorSpec, seed: SeedSpec) -> Instance:
     f = gen.standard_normal(n)
 
     if spec.fixed_signs is not None:
-        support = np.array(sorted(spec.fixed_signs), dtype=np.int64)
-        if support.size and (support[0] < 0 or support[-1] >= m):
-            raise DomainError("fixed_signs indices out of range")
+        support = np.sort(_require_indices("fixed_signs keys", list(spec.fixed_signs), m))
     else:
         k = floor_count(spec.rho, m)
         support = np.sort(gen.choice(m, size=k, replace=False)).astype(np.int64)
@@ -182,6 +180,7 @@ def apply_decoder_success(x_hat: np.ndarray, f: np.ndarray, tol: float = 1e-4) -
     The 1e-4 default separates the IRLS convergence floor on noiseless
     supports from genuine failures.
     """
+    _require_in("tol", tol, lambda t: t >= 0, "[0, inf]")
     x_hat = np.asarray(x_hat, dtype=float)
     f = np.asarray(f, dtype=float)
     if x_hat.shape != f.shape:
@@ -234,7 +233,7 @@ def read_instance(prefix: str | Path) -> Instance:
         if seed is not None:
             seed = SeedSpec(seed["master_seed"], seed["stream_id"])
         vectors = {key: np.array(sidecar[key], dtype=float) for key in ("f", "e", "y")}
-        support = np.array(sidecar["support"], dtype=np.int64)
+        support = _require_indices("support", sidecar["support"], sidecar["m"])
         signs = {int(i): int(s) for i, s in sidecar["signs"].items()}
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DomainError(f"malformed fixture {prefix}: {type(exc).__name__}: {exc}") from exc

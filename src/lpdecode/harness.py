@@ -257,7 +257,9 @@ def concentration_study(
     fixes the error support as the first floor(rho m) coordinates, draws its
     signs, and accumulates sum |x_i|^p over the sign-opposing head T- and
     over the tail T^c, normalized by m * E|X|^p.  As m grows these settle at
-    rho / 2 and 1 - rho.
+    rho / 2 and 1 - rho.  The margin's sign is that of T^c minus T-, so it
+    turns at rho = 2/3 for p < 1; at p = 1 the sign-agreeing head counts
+    for recovery too, the margin is about 1 - rho and stays positive.
     """
     _require_int("m", m)
     _require_int("trials", trials)
@@ -281,11 +283,15 @@ def concentration_study(
         signs = 2.0 * gen.integers(0, 2, size=k) - 1.0
         head = x[:k]
         head_pw = np.abs(head) ** p
-        s_minus = float(np.sum(head_pw[head * signs < 0]))
+        opposing = head * signs < 0
+        s_minus = float(np.sum(head_pw[opposing]))
         s_tc = float(np.sum(np.abs(x[k:]) ** p))
         minus_ratios.append(s_minus / mass_scale)
         tc_ratios.append(s_tc / mass_scale)
-        diffs.append(s_tc - s_minus)
+        diff = s_tc - s_minus
+        if p == 1:  # the sign-agreeing head counts too, as in certify._coefficients
+            diff += float(np.sum(head_pw[~opposing]))
+        diffs.append(diff)
 
     diffs = np.array(diffs)
     mean_diff = float(np.mean(diffs))

@@ -36,9 +36,10 @@ from lpdecode import (
     run_sweep,
     search_violation,
     signed_margin,
-    support_margin,
     unsigned_margin,
 )
+
+from certify_oracle import support_margin
 
 
 def _report(ok: bool, label: str, detail: str) -> None:

@@ -23,12 +23,13 @@ from lpdecode import (
     report_json,
     search_violation,
     signed_margin,
-    support_margin,
     unsigned_margin,
 )
 from lpdecode import certify
 from lpdecode.certify import _coefficients
 from lpdecode.ensemble import draw_support_signs
+
+from certify_oracle import l1_decode, support_margin
 
 
 def test_unsigned_margin_worked_example():
@@ -153,8 +154,6 @@ def test_support_checks_reject_bad_indices(support):
     a, z = _COLUMN, np.array([1.0])
     signs = {i: -1 for i in support}
     with pytest.raises(DomainError):
-        support_margin(a, 0.5, support, z)
-    with pytest.raises(DomainError):
         signed_margin(a, 0.5, support, signs, z)
     with pytest.raises(DomainError):
         attack_fixed_sign(a, np.zeros(1), 0.5, support, signs, z)
@@ -173,8 +172,6 @@ def test_margins_reject_zero_direction():
     a = gaussian_matrix(10, 2, SeedSpec(105, 0))
     with pytest.raises(DomainError):
         unsigned_margin(a, 0.5, 0.2, np.zeros(2))
-    with pytest.raises(DomainError):
-        support_margin(a, 0.5, np.array([0]), np.zeros(2))
 
 
 @pytest.mark.parametrize("rho", [math.nan, -0.1, 1.5])
@@ -186,11 +183,6 @@ def test_unsigned_paths_reject_bad_rho(rho):
         attack_arbitrary(a, np.zeros(1), 1.0, rho, z)
     with pytest.raises(DomainError):
         ConditionQuery(a=a, p=1.0, mode="unsigned", rho=rho)
-
-
-def test_support_margin_accepts_lists():
-    # |Az| = (1, 2), T = {0}: margin = 2 - 1
-    assert support_margin([[1.0], [2.0]], 1.0, [0], [1.0]) == pytest.approx(1.0)
 
 
 def test_condition_query_validation():
@@ -433,15 +425,60 @@ def test_attack_fixed_sign_head_gap_shrinks_with_scale():
 def test_attack_fixed_sign_preconditions():
     a = np.array([[1.0], [2.0], [3.0], [1.0], [0.5], [0.5]])
     support = np.array([0, 1, 2, 3])
-    opposing = {0: -1, 1: -1, 2: -1, 3: -1}
     agreeing = {0: 1, 1: 1, 2: 1, 3: 1}
+    # T- = {0, 3} (|A z| mass 2), T+ = {1, 2} (mass 5), off the support 1
+    mixed = {0: -1, 1: 1, 2: 1, 3: -1}
     z = np.array([1.0])
     # non-negative margin is refused
     with pytest.raises(DomainError):
         attack_fixed_sign(a, np.zeros(1), 0.5, support, agreeing, z)
-    # p = 1 is refused: the head contribution does not vanish there
+    # at p = 1, T+ counts for recovery: margin 1 + 5 - 2 = 4, refused ...
+    assert signed_margin(a, 1.0, support, mixed, z) == pytest.approx(4.0)
     with pytest.raises(DomainError):
-        attack_fixed_sign(a, np.zeros(1), 1.0, support, opposing, z)
+        attack_fixed_sign(a, np.zeros(1), 1.0, support, mixed, z)
+    # ... while at p = 0.5 it does not, the margin is 2^0.5 - 2 and the attack works
+    assert signed_margin(a, 0.5, support, mixed, z) == pytest.approx(2**0.5 - 2)
+    attack_fixed_sign(a, np.zeros(1), 0.5, support, mixed, z)
+
+
+def test_signed_condition_at_p1_holds_where_l1_decoding_recovers():
+    # the inputs of `certify --mode signed --p 1 --m 200 --n 10 --rho 0.7
+    # --restarts 8 --seed 1`, which reported min_margin -43.19 while T+ was
+    # not counted
+    a = gaussian_matrix(200, 10, SeedSpec(1, 0))
+    support, signs = draw_support_signs(200, 0.7, SeedSpec(1, 1))
+    q = ConditionQuery(a=a, p=1.0, mode="signed", support=support, signs=signs)
+    rep = search_violation(q, restarts=8, seed=SeedSpec(1, 2))
+    assert not rep.violated and rep.min_margin > 0
+    # and l1 decoding recovers f under errors of that support and those signs
+    gen = SeedSpec(140, 0).generator()
+    f = gen.standard_normal(10)
+    sgn = np.array([signs[int(i)] for i in support])
+    for scale in (1.0, 10.0, 1e3):
+        e = np.zeros(200)
+        e[support] = sgn * scale * np.abs(gen.standard_normal(support.size))
+        np.testing.assert_allclose(l1_decode(a, a @ f + e), f, rtol=0, atol=1e-9)
+
+
+def test_signed_violation_at_p1_defeats_l1_decoding():
+    # the inputs of `attack --mode fixed_sign --m 60 --n 4 --p 1 --rho 0.8 --seed 5`
+    a = gaussian_matrix(60, 4, SeedSpec(5, 0))
+    f = SeedSpec(5, 1).generator().standard_normal(4)
+    support, signs = draw_support_signs(60, 0.8, SeedSpec(5, 3))
+    q = ConditionQuery(a=a, p=1.0, mode="signed", support=support, signs=signs)
+    rep = search_violation(q, restarts=8, seed=SeedSpec(5, 2))
+    assert rep.violated
+    e, x_alt = attack_fixed_sign(a, f, 1.0, support, signs, rep.witness)
+    # every support entry carries its sign, and nothing lies off the support
+    assert all(np.sign(e[i]) == signs[int(i)] for i in support)
+    assert not np.any(np.delete(e, support))
+    y = a @ f + e
+    gap = lp_objective(y - a @ f, 1.0) - lp_objective(y - a @ x_alt, 1.0)
+    assert gap == pytest.approx(-rep.min_margin, rel=1e-9)
+    # the l1 decoder finds something at least as good as x_alt, so not f
+    x_hat = l1_decode(a, y)
+    assert lp_objective(y - a @ x_hat, 1.0) <= lp_objective(y - a @ x_alt, 1.0) + 1e-9
+    assert np.max(np.abs(x_hat - f)) > 0.1
 
 
 def test_report_json_contents():
@@ -492,7 +529,8 @@ def _reference_margin_and_subgrad(q, z):
     else:
         sgn = np.zeros(q.a.shape[0])
         sgn[q.support] = [q.signs[int(i)] for i in q.support]
-        coef = np.where(sgn == 0, 1.0, np.where(v * sgn < 0, -1.0, 0.0))
+        # the agreeing support entries count for recovery at p = 1 only
+        coef = np.where(sgn == 0, 1.0, np.where(v * sgn < 0, -1.0, float(q.p == 1)))
     return float(np.dot(coef, pw)), q.a.T @ (coef * dfac)
 
 
@@ -599,8 +637,10 @@ _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 3.0]), st
 def test_top_k_coefficients_match_stable_argsort(v, data):
     m = v.shape[1]
     for k in (0, data.draw(st.integers(1, m)), m):
-        np.testing.assert_array_equal(_coefficients(v, k=k), _stable_coefficients(v, k))
-        np.testing.assert_array_equal(_coefficients(v[0], k=k), _stable_coefficients(v[0], k))
+        q = ConditionQuery(a=np.ones((m, 1)), p=1.0, mode="unsigned", rho=k / m)
+        assert q._k == k
+        np.testing.assert_array_equal(_coefficients(q, v), _stable_coefficients(v, k))
+        np.testing.assert_array_equal(_coefficients(q, v[0]), _stable_coefficients(v[0], k))
 
 
 @pytest.mark.parametrize("bad", [2.5, float("nan"), "3"])
@@ -628,13 +668,12 @@ def test_margins_and_attacks_reject_non_finite(field, bad):
     support, signs = [0, 1, 2, 3], {0: -1, 1: -1, 2: -1, 3: -1}
     calls = [
         lambda: unsigned_margin(a, 0.5, 0.5, z),
-        lambda: support_margin(a, 0.5, support, z),
         lambda: signed_margin(a, 0.5, support, signs, z),
         lambda: attack_arbitrary(a, np.zeros(1), 0.5, 0.5, z),
         lambda: attack_fixed_sign(a, np.zeros(1), 0.5, support, signs, z),
     ]
     for call in calls:
-        with pytest.raises(DomainError, match="a and z must be finite"):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
             call()
 
 

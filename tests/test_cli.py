@@ -359,8 +359,9 @@ def test_attack_fixed_sign_above_two_thirds(capsys):
     assert payload["objective_x_alt"] <= payload["objective_f"]
 
 
-def test_attack_fixed_sign_rejects_p1(capsys):
-    rc, _, err = run(
+def test_attack_fixed_sign_at_p1(capsys):
+    # p = 1 is accepted: the margin counts T+, so the head needs no escalation
+    rc, out, _ = run(
         capsys,
         [
             "attack",
@@ -378,8 +379,13 @@ def test_attack_fixed_sign_rejects_p1(capsys):
             "5",
         ],
     )
-    assert rc == 1
-    assert "p < 1" in err
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["margin"] < 0
+    assert payload["succeeded"] is True
+    assert payload["objective_f"] - payload["objective_x_alt"] == pytest.approx(
+        -payload["margin"], rel=1e-9
+    )
 
 
 def test_attack_deterministic(capsys):

@@ -1,5 +1,7 @@
 """Instance generation: Gaussian matrices, sparse errors, fixture I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,19 @@ def test_roundtrip_bytes_stable(tmp_path):
     write_instance(inst, tmp_path / "b")
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("support", [[0.7], [[0]], [10]], ids=["float", "2d", "past_end"])
+def test_read_instance_rejects_malformed_support(tmp_path, support):
+    # a float index was truncated to 0 and matched the sign map's key "0"
+    inst = make_instance(10, 2, ErrorSpec(rho=0.0, fixed_signs={0: 1}), SeedSpec(22, 0))
+    write_instance(inst, tmp_path / "bad")
+    json_file = tmp_path / "bad.json"
+    sidecar = json.loads(json_file.read_text())
+    sidecar["support"] = support
+    json_file.write_text(json.dumps(sidecar))
+    with pytest.raises(DomainError, match="support must"):
+        read_instance(tmp_path / "bad")
 
 
 def test_read_instance_rejects_shape_mismatch(tmp_path):

@@ -17,15 +17,18 @@ from lpdecode import (
     concentration_csv,
     apply_decoder_success,
     attack_arbitrary,
+    attack_fixed_sign,
+    brute_force_min_margin,
     concentration_study,
     decode,
     lp_objective,
+    make_instance,
     mc_threshold_oracle,
+    mu,
     phase_csv,
     run_sweep,
     signed_margin,
     solve_zstar,
-    support_margin,
     trial_seeds,
     unsigned_margin,
 )
@@ -70,9 +73,12 @@ P_ENTRY_POINTS = {
     "mc_threshold_oracle": lambda v: mc_threshold_oracle(v, 10_000, 0),
     "CurveRequest.p_min": lambda v: CurveRequest(p_min=v, p_max=1.0, steps=2),
     "CurveRequest.p_max": lambda v: CurveRequest(p_min=0.5, p_max=v, steps=2),
-    "support_margin": lambda v: support_margin(np.eye(3), v, [0], np.ones(3)),
     "unsigned_margin": lambda v: unsigned_margin(np.eye(3), v, 0.2, np.ones(3)),
     "signed_margin": lambda v: signed_margin(np.eye(3), v, [0], {0: 1}, np.ones(3)),
+    # every support entry opposes A z, so the signed margin is negative at every p
+    "attack_fixed_sign": lambda v: attack_fixed_sign(
+        np.eye(3), np.ones(3), v, [0, 1, 2], {0: -1, 1: -1, 2: -1}, np.ones(3)
+    ),
 }
 
 
@@ -102,6 +108,108 @@ def test_entry_points_reject_rho_outside_unit_interval(entry, bad):
     with pytest.raises(DomainError, match=r"rho must lie in \[0, 1\]"):
         RHO_ENTRY_POINTS[entry](bad)
     RHO_ENTRY_POINTS[entry](0.5)
+
+
+# Malformed certify inputs, each a replacement for one or two of the valid
+# ones in CONTRACT_BASE.
+CONTRACT_BASE = {
+    "a": np.eye(3),
+    "f": np.ones(3),
+    "z": np.ones(3),
+    "support": [0, 1, 2],
+    "signs": {0: -1, 1: -1, 2: -1},
+}
+CONTRACT_CASES = {
+    "a_1d": {"a": np.ones(3)},
+    "a_m_below_n": {"a": np.ones((2, 3))},
+    "a_nan": {"a": np.diag([np.nan, 1.0, 1.0])},
+    "z_nan": {"z": np.array([1.0, np.nan, 1.0])},
+    "f_nan": {"f": np.array([1.0, np.nan, 1.0])},
+    "z_wrong_length": {"z": np.ones(2)},
+    "f_wrong_length": {"f": np.ones(2)},
+    "z_zero": {"z": np.zeros(3)},
+    "support_float": {"support": [0.7]},
+    "support_2d": {"support": [[0, 1, 2]]},
+    "sign_key_float": {"signs": {0.7: -1, 1: -1, 2: -1}},
+    "sign_key_str": {"signs": {"a": -1, 1: -1, 2: -1}},
+    "signs_not_a_map": {"signs": [-1, -1, -1]},
+}
+# entry point -> (the inputs it reads, call)
+CONTRACT_ENTRY_POINTS = {
+    "ConditionQuery.unsigned": (
+        "a z",
+        lambda c: ConditionQuery(a=c["a"], p=0.5, mode="unsigned", rho=0.5, z=c["z"]),
+    ),
+    "ConditionQuery.signed": (
+        "a z support signs",
+        lambda c: ConditionQuery(
+            a=c["a"], p=0.5, mode="signed", support=c["support"], signs=c["signs"], z=c["z"]
+        ),
+    ),
+    "unsigned_margin": ("a z", lambda c: unsigned_margin(c["a"], 0.5, 0.5, c["z"])),
+    "signed_margin": (
+        "a z support signs",
+        lambda c: signed_margin(c["a"], 0.5, c["support"], c["signs"], c["z"]),
+    ),
+    "attack_arbitrary": ("a f z", lambda c: attack_arbitrary(c["a"], c["f"], 0.5, 0.5, c["z"])),
+    "attack_fixed_sign": (
+        "a f z support signs",
+        lambda c: attack_fixed_sign(c["a"], c["f"], 0.5, c["support"], c["signs"], c["z"]),
+    ),
+    "make_instance": (
+        "signs",
+        lambda c: make_instance(3, 1, ErrorSpec(rho=0.1, fixed_signs=c["signs"]), SeedSpec(0, 0)),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [
+        (entry, case)
+        for entry, (reads, _) in CONTRACT_ENTRY_POINTS.items()
+        for case, bad in CONTRACT_CASES.items()
+        if set(bad) <= set(reads.split())
+    ],
+)
+def test_certify_entry_points_reject_malformed_inputs(entry, case):
+    call = CONTRACT_ENTRY_POINTS[entry][1]
+    with pytest.raises(DomainError):
+        call({**CONTRACT_BASE, **CONTRACT_CASES[case]})
+
+
+@pytest.mark.parametrize("entry", sorted(CONTRACT_ENTRY_POINTS))
+def test_certify_entry_points_accept_the_base_inputs(entry):
+    CONTRACT_ENTRY_POINTS[entry][1](CONTRACT_BASE)
+    # support indices of another integer dtype pass too
+    inputs = {**CONTRACT_BASE, "support": np.array([0, 1, 2], dtype=np.int32)}
+    CONTRACT_ENTRY_POINTS[entry][1](inputs)
+
+
+def test_empty_support_is_accepted():
+    # nothing on the support, so the signed margin is the full mass of A z
+    assert signed_margin(np.eye(3), 1.0, [], {}, np.ones(3)) == 3.0
+    assert ConditionQuery(a=np.eye(3), p=0.5, mode="signed", support=[], signs={}).support.size == 0
+
+
+# entry point -> call with one number argument set to v
+NUMBER_ENTRY_POINTS = {
+    "lp_objective.p": lambda v: lp_objective(np.ones(3), v),
+    "mu.p": mu,
+    "apply_decoder_success.tol": lambda v: apply_decoder_success(np.ones(2), np.ones(2), tol=v),
+    "brute_force_min_margin.resolution": lambda v: brute_force_min_margin(
+        ConditionQuery(a=np.eye(2), p=0.5, mode="unsigned", rho=0.5), v
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NUMBER_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [None, "x", float("nan"), -1.0])
+def test_number_arguments_reject_non_numbers(entry, bad):
+    name = entry.rpartition(".")[2]
+    with pytest.raises(DomainError, match=f"{name} must lie in"):
+        NUMBER_ENTRY_POINTS[entry](bad)
+    NUMBER_ENTRY_POINTS[entry](0.5)
 
 
 def _cells(rates, rhos, p=0.5, trials=100):
@@ -245,6 +353,16 @@ def test_concentration_margin_signs():
     neg = concentration_study(0.85, 0.5, 20_000, trials=3, seed=11)
     assert neg.margin_sign == "negative"
     assert neg.negative_trials == 3
+
+
+def test_concentration_at_p1_counts_the_agreeing_head():
+    # at p = 1 the split is 1 - rho > 0 for every rho < 1, the l1 threshold
+    # of 1; without the agreeing head these three rows came out negative
+    for rho in (0.7, 0.8, 0.9):
+        rep = concentration_study(rho, 1.0, 20_000, trials=5, seed=9)
+        assert rep.margin_sign == "positive" and rep.positive_trials == 5
+        assert rep.ratio_Tminus == pytest.approx(rho / 2, abs=0.02)
+        assert rep.ratio_Tc == pytest.approx(1 - rho, abs=0.02)
 
 
 def test_concentration_validation():
