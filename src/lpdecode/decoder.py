@@ -17,7 +17,8 @@ trials at one p, a bounded number at a time.  Every step is one batched
 Gram product and residual over the live trials, then one LAPACK Cholesky
 solve per trial; a trial that finishes or fails leaves the stack, so no
 step is spent on it, and every trial's result is bit-identical to a run
-on its own.
+on its own.  SciPy, which supplies that solve, is imported on the first
+decode, not with the package.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .ensemble import SeedSpec
 from .errors import DomainError, LpdecodeError, NumericError, SingularityError
@@ -84,10 +84,18 @@ def lp_objective(r: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(np.asarray(r, dtype=float)) ** p))
 
 
-def _solve(a, w, y):
+def _dposv():
+    """LAPACK's dposv; the first call imports SciPy."""
+    from scipy.linalg.lapack import dposv
+
+    return dposv
+
+
+def _solve(a, w, y, dposv):
     """One weighted least-squares solve per trial of a stack.
 
-    a is (T, m, n) or (1, m, n), w is (T, m) and y is (T, m) or (1, m).
+    a is (T, m, n) or (1, m, n), w is (T, m) and y is (T, m) or (1, m);
+    dposv is ``_dposv()``, looked up once per stack rather than per step.
     Returns x of shape (T, n), with zero rows for the trials that fail, and
     a dict {trial: SingularityError} for the failures.
 
@@ -133,18 +141,18 @@ def _norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _irls(a, y, p, x0, s2, live):
+def _irls(a, y, p, x0, s2, live, dposv):
     """IRLS from each row of x0 on a stack of trials: the phases of _EPS
     around the inner reweighted loop, per trial.
 
     a is (T, m, n) or (1, m, n), y is (T, m) or (1, m), x0 is (T, n), s2
-    (T,) is the squared measurement scale of each trial and live (T,) marks
-    the trials to run.  Returns one (x, trace, iterations, converged,
-    phase_starts) tuple per trial, the LpdecodeError that trial raised, or
-    None for a trial that was not live.  The stack holds only the live
-    trials: a trial that finishes or fails is gathered out of it (with its
-    rows of a and y, unless one A is shared), and its result is written
-    back at its own index.
+    (T,) is the squared measurement scale of each trial, live (T,) marks
+    the trials to run and dposv is handed to every ``_solve``.  Returns one
+    (x, trace, iterations, converged, phase_starts) tuple per trial, the
+    LpdecodeError that trial raised, or None for a trial that was not live.
+    The stack holds only the live trials: a trial that finishes or fails is
+    gathered out of it (with its rows of a and y, unless one A is shared),
+    and its result is written back at its own index.
     """
     t_count, n = x0.shape
     per_trial = len(a) == t_count
@@ -173,7 +181,7 @@ def _irls(a, y, p, x0, s2, live):
                 a, y = a[keep], y[keep]
         eps_abs = (_EPS[phase] * s2)[:, None]
         w = (r * r + eps_abs) ** (p / 2 - 1)
-        x_new, failed = _solve(a, w, y)
+        x_new, failed = _solve(a, w, y, dposv)
         r_new = y - (a @ x_new[..., None])[..., 0]
         trace[k, ids] = np.sum((r_new * r_new + eps_abs) ** (p / 2), axis=-1)
         k += 1
@@ -303,7 +311,8 @@ def _decode_stack(a, y, p, restarts=1, seed=None):
     others' results unchanged."""
     t_count, m, n = a.shape
     as_, ys, ea, ey, s2 = _scale(a, y)
-    x0, failed = _solve(as_, np.ones((t_count, m)), ys)
+    dposv = _dposv()
+    x0, failed = _solve(as_, np.ones((t_count, m)), ys, dposv)
     src = np.arange(t_count)
     if restarts > 1:
         gen = (seed or SeedSpec(0, 0)).generator()
@@ -315,7 +324,7 @@ def _decode_stack(a, y, p, restarts=1, seed=None):
     # A zero y or a failed first solve keeps its runs out of the stack.
     runnable = s2 > 0
     runnable[list(failed)] = False
-    runs = _irls(as_, ys, p, x0, s2[src], runnable[src])
+    runs = _irls(as_, ys, p, x0, s2[src], runnable[src], dposv)
 
     out = []
     for t, run in zip(src, runs):

@@ -133,6 +133,9 @@ def draw_support_signs(m: int, rho: float, seed: SeedSpec) -> tuple[np.ndarray, 
     The support comes back sorted.  The draw order is frozen (support by
     ``choice``, then the signs), so a seed always gives the same pair.
     """
+    _require_int("m", m)
+    if m < 1:
+        raise DomainError(f"m must be at least 1, got {m}")
     _require_rho(rho)
     gen = seed.generator()
     k = floor_count(rho, m)

@@ -10,13 +10,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import attack_arbitrary
-from .decoder import _decode_stack, lp_objective
+from .decoder import _decode_stack, _dposv, lp_objective
 from .ensemble import (
     ErrorSpec,
     Instance,
@@ -237,6 +236,9 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[PhaseCell]:
     if workers == 1:
         runs = [_run_stack(plan, *s) for s in stacks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        _dposv()  # imports SciPy once, here, for the forked workers to inherit
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_stack, [plan] * len(stacks), *zip(*stacks)))
     # The stacks cover the grid in order, so trial k of the flat list is

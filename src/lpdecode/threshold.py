@@ -6,7 +6,8 @@ then rho*(p) = 1 - F(z*).  Both steps have closed forms (an inverse
 incomplete gamma function and erfc), and so does the slope drho*/dp (the
 s-derivative of the incomplete gamma function, as a series, and the
 digamma function).  The curve is strictly decreasing in p, from 1/2 in the
-p -> 0 limit down to 0.239... at p = 1.
+p -> 0 limit down to 0.239... at p = 1.  SciPy, which supplies the two
+special functions, is imported on the first evaluation, once per call.
 
 An order-statistics Monte Carlo oracle estimates the same quantity from
 raw samples (sort |X_i|**p, find the prefix holding half the total mass),
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammainccinv
 
 from .errors import DomainError, _require_int, _require_p
 from .seeding import generator_from
@@ -81,6 +81,12 @@ def solve_zstar(p: float) -> float:
     reads Q(s, z***2/2) = 1/2, and z* = sqrt(2 * Q^-1(s, 1/2)).
     """
     _require_p(p)
+    from scipy.special import gammainccinv
+
+    return _zstar_at(p, gammainccinv)
+
+
+def _zstar_at(p: float, gammainccinv) -> float:
     return math.sqrt(2.0 * gammainccinv(0.5 * (p + 1.0), 0.5))
 
 
@@ -92,7 +98,7 @@ def _rho_at(zs: float) -> float:
 _SERIES_TERMS = 20
 
 
-def _drho_at(p: float, zs: float) -> float:
+def _drho_at(p: float, zs: float, digamma) -> float:
     s, x = 0.5 * (p + 1.0), 0.5 * zs * zs
     ln_x = math.log(x)
     # d/ds of the lower incomplete gamma function gamma(s, x), from its
@@ -124,7 +130,10 @@ def drho_dp(p: float) -> float:
     gives Gamma'(s) = Gamma(s) psi(s), and [0, z*] the s-derivative of the
     lower incomplete gamma function gamma(s, z***2/2), summed from its series.
     """
-    return _drho_at(p, solve_zstar(p))
+    zs = solve_zstar(p)
+    from scipy.special import digamma
+
+    return _drho_at(p, zs, digamma)
 
 
 def curve(req: CurveRequest) -> list[ThresholdPoint]:
@@ -133,10 +142,12 @@ def curve(req: CurveRequest) -> list[ThresholdPoint]:
     p = 0 is never sampled: the curve is defined for p > 0 only, and the
     limit value 1/2 is an annotation, not a data point.
     """
+    from scipy.special import digamma, gammainccinv
+
     points = []
     for p in req.p_values():
-        zs = solve_zstar(p)
-        deriv = _drho_at(p, zs) if req.with_derivative else None
+        zs = _zstar_at(p, gammainccinv)
+        deriv = _drho_at(p, zs, digamma) if req.with_derivative else None
         points.append(ThresholdPoint(p=p, z_star=zs, rho_star=_rho_at(zs), drho_dp=deriv))
     return points
 

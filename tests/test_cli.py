@@ -548,3 +548,67 @@ def test_python_m_runs_cli(tmp_path):
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert "missing" in proc.stderr
+
+
+# Run in a fresh interpreter: the last stdout line is the exit code and the
+# loaded scipy and multiprocessing modules, as JSON.
+_MODULES_AFTER = (
+    "import json, sys\n"
+    "import lpdecode, lpdecode.cli\n"
+    "rc = lpdecode.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None\n"
+    "sys.stdout.flush()\n"
+    "print(json.dumps([rc, sorted(m for m in sys.modules\n"
+    "                          if m.split('.')[0] in ('scipy', 'multiprocessing'))]))\n"
+)
+
+
+def _fresh_run(argv):
+    src = str(Path(lpdecode.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy_and_no_multiprocessing():
+    assert _fresh_run([]) == [None, []]
+
+
+def _loaded(modules, name):
+    return any(m == name or m.startswith(name + ".") for m in modules)
+
+
+SMALL = ["--m", "40", "--n", "4", "--p", "0.5", "--seed", "0"]
+
+
+# (argv, exit code, modules it must not load, modules it must load)
+COMMAND_IMPORTS = {
+    "certify": (["certify", "--mode", "unsigned", *SMALL, "--rho", "0.2", "--restarts", "2"], 0, ["scipy"], []),
+    "attack-arbitrary": (["attack", "--mode", "arbitrary", *SMALL, "--rho", "0.45"], 0,
+                         ["scipy"], []),
+    "concentration": (["concentration", "--rho", "0.5", "--p", "0.5", "--m", "10000",
+                       "--trials", "2", "--seed", "0"], 0, ["scipy"], []),
+    "help": (["--help"], 0, ["scipy"], []),
+    "usage-error": (["decode", "--p", "0.5"], 1, ["scipy"], []),
+    "domain-error": (["decode", "--p", "2", "--m", "40", "--n", "4", "--rho", "0.1",
+                      "--seed", "0"], 2,
+                     ["scipy"], []),
+    "decode": (["decode", *SMALL, "--rho", "0.1"], 0, ["scipy.special", "multiprocessing"],
+               ["scipy.linalg"]),
+    "threshold": (["threshold", "--p-min", "0.5", "--p-max", "1", "--steps", "3",
+                   "--derivative"], 0, ["scipy.linalg", "multiprocessing"], ["scipy.special"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_IMPORTS))
+def test_command_loads_only_what_it_uses(name):
+    argv, code, absent, present = COMMAND_IMPORTS[name]
+    rc, modules = _fresh_run(argv)
+    assert rc == code
+    for mod in absent:
+        assert not _loaded(modules, mod), mod
+    for mod in present:
+        assert _loaded(modules, mod), mod

@@ -44,7 +44,7 @@ def test_lp_objective_rejects_bad_p():
 def _solve_one(a, y, w):
     """decoder._solve on a one-trial stack: x, or the SingularityError it
     reports for that trial."""
-    x, failed = decoder._solve(a[None], w[None], y[None])
+    x, failed = decoder._solve(a[None], w[None], y[None], decoder._dposv())
     if failed:
         raise failed[0]
     return x[0]
@@ -394,9 +394,9 @@ def test_finished_trials_leave_the_stack(monkeypatch):
     solve = decoder._solve
     rows = []
 
-    def counting(a, w, y):
+    def counting(a, w, y, dposv):
         rows.append(len(w))
-        return solve(a, w, y)
+        return solve(a, w, y, dposv)
 
     monkeypatch.setattr(decoder, "_solve", counting)
     stacked = _decode_stack(a, y, 0.5)

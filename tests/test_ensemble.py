@@ -155,6 +155,12 @@ def test_draw_support_signs_rejects_rho_outside_unit_interval(rho):
         draw_support_signs(40, rho, SeedSpec(5, 1))
 
 
+@pytest.mark.parametrize("m", ["x", None, 2.5, -1, 0])
+def test_draw_support_signs_rejects_bad_m(m):
+    with pytest.raises(DomainError, match="^m must"):
+        draw_support_signs(m, 0.5, SeedSpec(5, 1))
+
+
 def test_seed_spec_rejects_negative_stream():
     with pytest.raises(DomainError):
         SeedSpec(1, -1)

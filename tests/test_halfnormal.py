@@ -2,32 +2,16 @@
 checked against."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import digamma
 
-import lpdecode
 from lpdecode import DomainError, mu
 from quadrature_oracle import TOL, Z_MAX, log_moment_integrals, pdf, tail_moment
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def test_import_does_not_load_scipy_integrate():
-    # a fresh interpreter: this one has loaded it for the oracle
-    src = os.path.dirname(os.path.dirname(os.path.abspath(lpdecode.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, lpdecode; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
 
 
 def test_pdf_at_zero():

@@ -444,7 +444,7 @@ def test_run_sweep_starts_no_more_workers_than_stacks(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     plan = SweepPlan(
         m=30, n=4, p_values=(0.4, 0.8), rho_values=(0.1,), trials=2, master_seed=3
     )
