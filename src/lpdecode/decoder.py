@@ -13,12 +13,13 @@ across the whole float range.
 One kernel, ``_irls``, runs IRLS on a stack of trials at once, and
 ``_decode_stack`` scales each trial, starts it and scales its result back:
 the restarts of ``decode`` share one A, and a sweep stacks the A of the
-trials at one p, a bounded number at a time.  Every step is one batched
-Gram product and residual over the live trials, then one LAPACK Cholesky
-solve per trial; a trial that finishes or fails leaves the stack, so no
-step is spent on it, and every trial's result is bit-identical to a run
-on its own.  SciPy, which supplies that solve, is imported on the first
-decode, not with the package.
+trials at one p.  Either way IRLS runs a bounded number of entries of A at
+a time, so memory does not grow with the restarts or trials.  Every step
+is one batched Gram product and residual over the live trials, then one
+LAPACK Cholesky solve per trial; a trial that finishes or fails leaves the
+stack, so no step is spent on it, and every trial's result is
+bit-identical to a run on its own.  SciPy, which supplies that solve, is
+imported on the first decode, not with the package.
 """
 
 from __future__ import annotations
@@ -43,6 +44,19 @@ _EPS = np.array(_EPS)
 _MAX_INNER = 100
 _INNER_TOL = 1e-10
 _PIVOT_RATIO_MIN = math.sqrt(np.finfo(float).eps)
+# IRLS runs a stack of trials or restarts in blocks of at most this many
+# entries of A (always at least one run), so memory does not grow with
+# their number: each step makes a weighted copy of A for every run.
+_STACK_ENTRIES = 1 << 16
+
+
+def _blocks(count: int, entries: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest balanced blocks that split ``count`` runs
+    of ``entries`` entries of A each into at most _STACK_ENTRIES entries
+    (at least one run each), in order."""
+    size = max(1, _STACK_ENTRIES // entries)
+    blocks = -(-count // size)
+    return [(count * b // blocks, count * (b + 1) // blocks) for b in range(blocks)]
 
 
 @dataclass(frozen=True)
@@ -282,7 +296,8 @@ def decode(
     Restart 0 starts from the unweighted least-squares fit; later restarts
     perturb it with seeded Gaussian noise at a tenth of its norm.  The seed
     defaults to SeedSpec(0, 0) and only matters when restarts > 1.  The
-    restarts run as one stack that shares A.
+    restarts share A and run in blocks of at most 2**16 entries of it, so
+    memory stays bounded however many there are.
     """
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -306,9 +321,10 @@ def decode(
 def _decode_stack(a, y, p, restarts=1, seed=None):
     """Decode a stack of finite trials, a (T, m, n) and y (T, m), as one
     batched IRLS: one run per trial, or, for a single trial, one run per
-    restart, started as ``decode`` describes.  Returns one DecodeResult per
-    run, or the LpdecodeError that run raised; a run that fails leaves the
-    others' results unchanged."""
+    restart, started as ``decode`` describes.  The runs go through IRLS in
+    the blocks of ``_blocks``.  Returns one DecodeResult per run, or the
+    LpdecodeError that run raised; a run that fails leaves the others'
+    results unchanged."""
     t_count, m, n = a.shape
     as_, ys, ea, ey, s2 = _scale(a, y)
     dposv = _dposv()
@@ -324,7 +340,11 @@ def _decode_stack(a, y, p, restarts=1, seed=None):
     # A zero y or a failed first solve keeps its runs out of the stack.
     runnable = s2 > 0
     runnable[list(failed)] = False
-    runs = _irls(as_, ys, p, x0, s2[src], runnable[src], dposv)
+    runs = []
+    for i, j in _blocks(len(src), m * n):
+        # restarts share the one A and y; trials bring their own
+        a_b, y_b = (as_, ys) if restarts > 1 else (as_[i:j], ys[i:j])
+        runs += _irls(a_b, y_b, p, x0[i:j], s2[src[i:j]], runnable[src[i:j]], dposv)
 
     out = []
     for t, run in zip(src, runs):

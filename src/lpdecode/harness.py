@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import attack_arbitrary
-from .decoder import _decode_stack, _dposv, lp_objective
+from .decoder import _blocks, _decode_stack, _dposv, lp_objective
 from .ensemble import (
     ErrorSpec,
     Instance,
@@ -32,11 +32,6 @@ from .seeding import mix64
 log = logging.getLogger(__name__)
 
 _REGIMES = ("arbitrary", "fixed_sign", "adversarial")
-# A sweep decodes the trials at one p in stacks of at most this many
-# entries of A (always at least one trial), so its memory does not grow
-# with the number of trials; each decoded stack holds about four copies of
-# its A.
-_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -155,17 +150,12 @@ def _stacks(plan: SweepPlan) -> list[tuple[int, int, int]]:
     """(p index, start, stop) of each stack a sweep decodes, in grid order.
 
     The trials at one p, rho-major and in trial order, are split into the
-    fewest balanced stacks of at most _STACK_ENTRIES entries of A (at least
-    one trial each); a stack never mixes p values, so p stays one scalar.
+    decoder's bounded blocks, so a sweep's memory does not grow with the
+    number of trials; a stack never mixes p values, so p stays one scalar.
     """
     per_p = len(plan.rho_values) * plan.trials
-    size = max(1, _STACK_ENTRIES // (plan.m * plan.n))
-    count = -(-per_p // size)
-    return [
-        (pi, per_p * c // count, per_p * (c + 1) // count)
-        for pi in range(len(plan.p_values))
-        for c in range(count)
-    ]
+    blocks = _blocks(per_p, plan.m * plan.n)
+    return [(pi, start, stop) for pi in range(len(plan.p_values)) for start, stop in blocks]
 
 
 def _run_stack(plan: SweepPlan, p_index: int, start: int, stop: int):

@@ -6,8 +6,10 @@ then rho*(p) = 1 - F(z*).  Both steps have closed forms (an inverse
 incomplete gamma function and erfc), and so does the slope drho*/dp (the
 s-derivative of the incomplete gamma function, as a series, and the
 digamma function).  The curve is strictly decreasing in p, from 1/2 in the
-p -> 0 limit down to 0.239... at p = 1.  SciPy, which supplies the two
-special functions, is imported on the first evaluation, once per call.
+p -> 0 limit down to 0.239... at p = 1.  The two special functions are
+computed here with ``math`` alone: the inverse incomplete gamma function by
+Newton's method (with Halley's correction) on the incomplete gamma series,
+and digamma by its recurrence and asymptotic series.
 
 An order-statistics Monte Carlo oracle estimates the same quantity from
 raw samples (sort |X_i|**p, find the prefix holding half the total mass),
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _require_int, _require_p
+from .errors import DomainError, NumericError, _require_int, _require_p
 from .seeding import generator_from
 
 
@@ -81,13 +83,11 @@ def solve_zstar(p: float) -> float:
     reads Q(s, z***2/2) = 1/2, and z* = sqrt(2 * Q^-1(s, 1/2)).
     """
     _require_p(p)
-    from scipy.special import gammainccinv
-
-    return _zstar_at(p, gammainccinv)
+    return _zstar_at(p)
 
 
-def _zstar_at(p: float, gammainccinv) -> float:
-    return math.sqrt(2.0 * gammainccinv(0.5 * (p + 1.0), 0.5))
+def _zstar_at(p: float) -> float:
+    return math.sqrt(2.0 * _gamma_median(0.5 * (p + 1.0)))
 
 
 def _rho_at(zs: float) -> float:
@@ -96,9 +96,55 @@ def _rho_at(zs: float) -> float:
 
 # For p in (0, 1], x = z***2/2 is in [0.23, 0.70]: term k >= 3 is < 0.7**k/k!, 20 miss < 1e-21.
 _SERIES_TERMS = 20
+# (k, (-1)**k / k!) for the terms of the series of gamma(s, x), highest k first.
+_SERIES = [(k, (-1) ** k / math.factorial(k)) for k in reversed(range(_SERIES_TERMS))]
+# Halley's method reaches the rounding floor of _gamma_median in 4 to 7 steps for every s.
+_NEWTON_STEPS = 20
 
 
-def _drho_at(p: float, zs: float, digamma) -> float:
+def _gamma_median(s: float) -> float:
+    """The x with P(s, x) = gamma(s, x) / Gamma(s) = 1/2, for s in [1/2, 1].
+
+    Newton's method on P, with Halley's correction: P' = x**(s-1) e**-x /
+    Gamma(s), so P''/P' = (s-1)/x - 1 comes free.  gamma(s, x) is x**s
+    times a polynomial in x, the series sum_k (-1)**k x**k / (k! (s+k)),
+    whose coefficients are computed once per s.  The start is the root x0
+    of the series' leading term x**s / Gamma(s+1), times e**(x0/(s+1)) for
+    its second.  The iteration stops once a step is no smaller than the
+    last: the iterate has reached the rounding floor of P, and further
+    steps only jitter.
+    """
+    gs = math.gamma(s)
+    coefs = [c / (s + k) for k, c in _SERIES]
+    x = (0.5 * s * gs) ** (1.0 / s)
+    x *= math.exp(x / (s + 1.0))
+    last = math.inf
+    for _ in range(_NEWTON_STEPS):
+        poly = 0.0
+        for c in coefs:
+            poly = poly * x + c
+        step = (x ** s * poly - 0.5 * gs) / (x ** (s - 1.0) * math.exp(-x))
+        step /= 1.0 - 0.5 * step * ((s - 1.0) / x - 1.0)
+        if abs(step) >= last:
+            return x
+        x -= step
+        last = abs(step)
+    raise NumericError(f"Gamma({s!r}) median: Newton did not settle in {_NEWTON_STEPS} steps")
+
+
+def _digamma(s: float) -> float:
+    """psi(s) for s > 0: psi(s) = psi(s+1) - 1/s up to s >= 20, then the
+    asymptotic series through its s**-10 term, whose next term is < 1e-17."""
+    acc = 0.0
+    while s < 20.0:
+        acc -= 1.0 / s
+        s += 1.0
+    t = 1.0 / (s * s)
+    tail = t * (1 / 12 - t * (1 / 120 - t * (1 / 252 - t * (1 / 240 - t / 132))))
+    return acc + math.log(s) - 0.5 / s - tail
+
+
+def _drho_at(p: float, zs: float) -> float:
     s, x = 0.5 * (p + 1.0), 0.5 * zs * zs
     ln_x = math.log(x)
     # d/ds of the lower incomplete gamma function gamma(s, x), from its
@@ -112,7 +158,7 @@ def _drho_at(p: float, zs: float, digamma) -> float:
     # lower + upper = C Gamma(s) (ln 2 + psi(s)), C = 2**(p/2) / (2 sqrt(pi));
     # in 2 lower - (lower + upper) the ln 2 terms cancel.
     c = 2.0 ** (p / 2.0) / (2.0 * math.sqrt(math.pi))
-    return c * (2.0 * dlower - math.gamma(s) * float(digamma(s))) / (2.0 * zs ** p)
+    return c * (2.0 * dlower - math.gamma(s) * _digamma(s)) / (2.0 * zs ** p)
 
 
 def rho_star(p: float) -> float:
@@ -130,10 +176,7 @@ def drho_dp(p: float) -> float:
     gives Gamma'(s) = Gamma(s) psi(s), and [0, z*] the s-derivative of the
     lower incomplete gamma function gamma(s, z***2/2), summed from its series.
     """
-    zs = solve_zstar(p)
-    from scipy.special import digamma
-
-    return _drho_at(p, zs, digamma)
+    return _drho_at(p, solve_zstar(p))
 
 
 def curve(req: CurveRequest) -> list[ThresholdPoint]:
@@ -142,12 +185,10 @@ def curve(req: CurveRequest) -> list[ThresholdPoint]:
     p = 0 is never sampled: the curve is defined for p > 0 only, and the
     limit value 1/2 is an annotation, not a data point.
     """
-    from scipy.special import digamma, gammainccinv
-
     points = []
     for p in req.p_values():
-        zs = _zstar_at(p, gammainccinv)
-        deriv = _drho_at(p, zs, digamma) if req.with_derivative else None
+        zs = _zstar_at(p)
+        deriv = _drho_at(p, zs) if req.with_derivative else None
         points.append(ThresholdPoint(p=p, z_star=zs, rho_star=_rho_at(zs), drho_dp=deriv))
     return points
 

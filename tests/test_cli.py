@@ -599,7 +599,7 @@ COMMAND_IMPORTS = {
     "decode": (["decode", *SMALL, "--rho", "0.1"], 0, ["scipy.special", "multiprocessing"],
                ["scipy.linalg"]),
     "threshold": (["threshold", "--p-min", "0.5", "--p-max", "1", "--steps", "3",
-                   "--derivative"], 0, ["scipy.linalg", "multiprocessing"], ["scipy.special"]),
+                   "--derivative"], 0, ["scipy", "multiprocessing"], []),
 }
 
 

@@ -1,6 +1,7 @@
 """IRLS decoder and its weighted least-squares kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,6 +367,31 @@ def test_decode_restarts_are_the_best_single_run():
         res = decode(inst.a, inst.y, DecoderConfig(p=p, restarts=3), seed=SeedSpec(2, 0))
         ref = _reference_decode(inst.a, inst.y, p, restarts=3, seed=SeedSpec(2, 0))
         assert _key(res) == ref
+
+
+def test_decode_restarts_in_blocks_are_the_best_single_run(monkeypatch):
+    # room for two restarts per block: the five run as blocks of 1, 2 and 2,
+    # and the starts are drawn in the same order as for one block
+    monkeypatch.setattr(decoder, "_STACK_ENTRIES", 2 * 50 * 5)
+    inst = make_instance(50, 5, ErrorSpec(rho=0.3), SeedSpec(81, 0))
+    res = decode(inst.a, inst.y, DecoderConfig(p=0.4, restarts=5), seed=SeedSpec(2, 0))
+    ref = _reference_decode(inst.a, inst.y, 0.4, restarts=5, seed=SeedSpec(2, 0))
+    assert _key(res) == ref
+
+
+def test_decode_memory_does_not_grow_with_restarts():
+    # 16 restarts of a 200x20 A fill one block; 64 run as four such blocks
+    inst = make_instance(200, 20, ErrorSpec(rho=0.2), SeedSpec(1, 0))
+    decode(inst.a, inst.y, DecoderConfig(p=0.5, restarts=2))  # load SciPy first
+    peaks = {}
+    for restarts in (16, 64):
+        tracemalloc.start()
+        try:
+            decode(inst.a, inst.y, DecoderConfig(p=0.5, restarts=restarts))
+            peaks[restarts] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] <= 1.5 * peaks[16], peaks
 
 
 def test_singular_trial_fails_alone():

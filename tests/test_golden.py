@@ -41,6 +41,12 @@ GOLDEN = {
          "--restarts", "3"],
         "2a2116a2f67557822fc31ba443781d498d11b7444756462b0a61bf45e477d42c",
     ),
+    # more restarts than one bounded stack of A holds
+    "decode-restarts-40": (
+        ["decode", "--p", "0.5", "--m", "200", "--n", "20", "--rho", "0.2", "--seed", "1",
+         "--restarts", "40"],
+        "ae8570a4bc3606f2a7f48f7d054351f5cf2bed084268118696416bc168710f51",
+    ),
     # the README's certify and attack examples
     "certify-readme": (
         ["certify", "--mode", "unsigned", "--p", "0.5", "--m", "400", "--n", "20",

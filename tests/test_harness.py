@@ -32,7 +32,7 @@ from lpdecode import (
     trial_seeds,
     unsigned_margin,
 )
-from lpdecode import harness
+from lpdecode import decoder, harness
 from lpdecode.ensemble import draw_support_signs
 
 INTEGER_FIELDS = {
@@ -506,7 +506,7 @@ def test_cell_stacks_are_bounded_and_do_not_change_results(monkeypatch):
 
     monkeypatch.setattr(harness, "_decode_stack", recording)
     for entries, per_p in ((1, [1] * 14), (3 * 40 * 4, [2, 3, 3, 3, 3]), (1 << 20, [14])):
-        monkeypatch.setattr(harness, "_STACK_ENTRIES", entries)
+        monkeypatch.setattr(decoder, "_STACK_ENTRIES", entries)
         stacks.clear()
         assert phase_csv(run_sweep(plan)) == whole
         assert stacks == [(size, p) for p in (0.5, 1.0) for size in per_p]

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma, gammainccinv
 
 import quadrature_oracle
+from lpdecode import threshold
 from lpdecode import (
     CurveRequest,
     DomainError,
+    NumericError,
     ThresholdPoint,
     curve,
     curve_csv,
@@ -125,6 +128,40 @@ def test_curve_csv_matches_quadrature_oracle_bytes():
         for pt in pts
     ]
     assert curve_csv(pts) == curve_csv(by_oracle)
+
+
+# SciPy is the reference for the two special functions the library computes
+# itself: a dense p grid, with the extremes p = 1e-300 and 1e-12.
+SPECIAL_GRID = [1e-300, 1e-12, *np.linspace(0.0, 1.0, 20_001)[1:].tolist()]
+
+
+def test_zstar_and_digamma_match_scipy():
+    s = 0.5 * (np.array(SPECIAL_GRID) + 1.0)
+    median = [threshold._gamma_median(v) for v in s.tolist()]
+    zstar = [solve_zstar(p) for p in SPECIAL_GRID]
+    psi = [threshold._digamma(v) for v in s.tolist()]
+    np.testing.assert_allclose(median, gammainccinv(s, 0.5), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(zstar, np.sqrt(2.0 * gammainccinv(s, 0.5)), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(psi, digamma(s), rtol=1e-14, atol=0)
+
+
+def test_curve_csv_matches_scipy_special_bytes(monkeypatch):
+    req = CurveRequest(p_min=1e-4, p_max=1.0, steps=2001, with_derivative=True)
+    text = curve_csv(curve(req))
+    monkeypatch.setattr(threshold, "_gamma_median", lambda s: float(gammainccinv(s, 0.5)))
+    monkeypatch.setattr(threshold, "_digamma", lambda s: float(digamma(s)))
+    assert text == curve_csv(curve(req))
+
+
+def test_gamma_median_settles_well_inside_its_step_bound(monkeypatch):
+    # every s of the grid settles within half the bound; a bound too small
+    # to settle in raises rather than return an unsettled iterate
+    monkeypatch.setattr(threshold, "_NEWTON_STEPS", threshold._NEWTON_STEPS // 2)
+    for p in SPECIAL_GRID:
+        threshold._gamma_median(0.5 * (p + 1.0))
+    monkeypatch.setattr(threshold, "_NEWTON_STEPS", 2)
+    with pytest.raises(NumericError, match="did not settle"):
+        threshold._gamma_median(0.75)
 
 
 def test_curve_endpoints_and_monotonicity():
