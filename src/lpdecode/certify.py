@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import SeedSpec, ceil_count
+from .ensemble import SeedSpec, _require_seed, ceil_count
 from .decoder import _norms
 from .errors import DomainError, NumericError, _require_in, _require_indices
 from .errors import _require_int, _require_p, _require_rho
@@ -260,7 +260,7 @@ def search_violation(
     _require_int("restarts", restarts)
     if restarts < 1:
         raise DomainError("restarts must be at least 1")
-    gen = (seed or SeedSpec(0, 0)).generator()
+    gen = _require_seed(seed, SeedSpec(0, 0)).generator()
     m, n = q.a.shape
     size = max(1, _BLOCK_ENTRIES // m)
 

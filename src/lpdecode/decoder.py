@@ -18,18 +18,24 @@ a time, so memory does not grow with the restarts or trials.  Every step
 is one batched Gram product and residual over the live trials, then one
 LAPACK Cholesky solve per trial; a trial that finishes or fails leaves the
 stack, so no step is spent on it, and every trial's result is
-bit-identical to a run on its own.  SciPy, which supplies that solve, is
-imported on the first decode, not with the package.
+bit-identical to a run on its own.  That solve is LAPACK's dposv from
+SciPy's compiled ``_flapack`` extension, loaded on the first decode and on
+its own: no ``scipy`` package module is ever imported.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SeedSpec
+from .ensemble import SeedSpec, _require_seed
 from .errors import DomainError, LpdecodeError, NumericError, SingularityError
 from .errors import _require_in, _require_int, _require_p
 
@@ -98,11 +104,31 @@ def lp_objective(r: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(np.asarray(r, dtype=float)) ** p))
 
 
+@functools.cache
 def _dposv():
-    """LAPACK's dposv; the first call imports SciPy."""
-    from scipy.linalg.lapack import dposv
+    """LAPACK's dposv, the same compiled routine as ``scipy.linalg.lapack.dposv``.
 
-    return dposv
+    The first call loads SciPy's Fortran extension ``scipy/linalg/_flapack``
+    by its file, so no ``scipy`` package module runs (``scipy.linalg``
+    alone imports some 300 modules), and the extension is not registered
+    in ``sys.modules``.  ModuleNotFoundError when SciPy or that extension
+    is not installed.
+    """
+    scipy = importlib.util.find_spec("scipy")  # finds SciPy without importing it
+    roots = scipy.submodule_search_locations if scipy else []
+    dirs = [os.path.join(root, "linalg") for root in roots]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", dirs)
+    if spec is None:
+        raise ModuleNotFoundError(
+            "decoding needs SciPy's compiled LAPACK module scipy/linalg/_flapack, "
+            "which was not found", name="scipy"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # CPython files a single-phase extension under its bare name; take it out
+    if sys.modules.get(spec.name) is module:
+        del sys.modules[spec.name]
+    return module.dposv
 
 
 def _solve(a, w, y, dposv):
@@ -310,6 +336,7 @@ def decode(
         raise DomainError(f"y must have length m={m}, got shape {y.shape}")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
         raise DomainError("a and y must be finite")
+    seed = _require_seed(seed, SeedSpec(0, 0))
 
     runs = _decode_stack(a[None], y[None], cfg.p, cfg.restarts, seed)
     for run in runs:
@@ -321,17 +348,17 @@ def decode(
 def _decode_stack(a, y, p, restarts=1, seed=None):
     """Decode a stack of finite trials, a (T, m, n) and y (T, m), as one
     batched IRLS: one run per trial, or, for a single trial, one run per
-    restart, started as ``decode`` describes.  The runs go through IRLS in
-    the blocks of ``_blocks``.  Returns one DecodeResult per run, or the
-    LpdecodeError that run raised; a run that fails leaves the others'
-    results unchanged."""
+    restart, started as ``decode`` describes from the SeedSpec ``seed``.
+    The runs go through IRLS in the blocks of ``_blocks``.  Returns one
+    DecodeResult per run, or the LpdecodeError that run raised; a run that
+    fails leaves the others' results unchanged."""
     t_count, m, n = a.shape
     as_, ys, ea, ey, s2 = _scale(a, y)
     dposv = _dposv()
     x0, failed = _solve(as_, np.ones((t_count, m)), ys, dposv)
     src = np.arange(t_count)
     if restarts > 1:
-        gen = (seed or SeedSpec(0, 0)).generator()
+        gen = seed.generator()
         scale = 0.1 * np.linalg.norm(x0[0]) / math.sqrt(n)
         x0 = np.array(
             [x0[0]] + [x0[0] + gen.standard_normal(n) * scale for _ in range(restarts - 1)]

@@ -53,6 +53,16 @@ class SeedSpec:
         return generator_from(self.master_seed, self.stream_id)
 
 
+def _require_seed(seed, default: SeedSpec | None = None) -> SeedSpec:
+    """``seed``, or ``default`` for a None seed where there is one;
+    DomainError unless that is a SeedSpec."""
+    if seed is None and default is not None:
+        return default
+    if not isinstance(seed, SeedSpec):
+        raise DomainError(f"seed must be a SeedSpec, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True, eq=False)
 class ErrorSpec:
     """Which of the two error models builds e; its magnitudes are |N(0,1)|.
@@ -124,7 +134,7 @@ def _check_shape(m: int, n: int) -> None:
 def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
     """m x n matrix of i.i.d. N(0,1) entries from the seeded stream (m >= n)."""
     _check_shape(m, n)
-    return seed.generator().standard_normal((m, n))
+    return _require_seed(seed).generator().standard_normal((m, n))
 
 
 def draw_support_signs(m: int, rho: float, seed: SeedSpec) -> tuple[np.ndarray, dict[int, int]]:
@@ -137,7 +147,7 @@ def draw_support_signs(m: int, rho: float, seed: SeedSpec) -> tuple[np.ndarray, 
     if m < 1:
         raise DomainError(f"m must be at least 1, got {m}")
     _require_rho(rho)
-    gen = seed.generator()
+    gen = _require_seed(seed).generator()
     k = floor_count(rho, m)
     support = np.sort(gen.choice(m, size=k, replace=False))
     signs = {int(i): int(s) for i, s in zip(support, 2 * gen.integers(0, 2, size=k) - 1)}
@@ -154,7 +164,7 @@ def make_instance(m: int, n: int, spec: ErrorSpec, seed: SeedSpec) -> Instance:
     magnitudes, signs (arbitrary errors only).
     """
     _check_shape(m, n)
-    gen = seed.generator()
+    gen = _require_seed(seed).generator()
     a = gen.standard_normal((m, n))
     f = gen.standard_normal(n)
 

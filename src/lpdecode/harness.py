@@ -228,7 +228,7 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[PhaseCell]:
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        _dposv()  # imports SciPy once, here, for the forked workers to inherit
+        _dposv()  # loads LAPACK once, here, for the forked workers to inherit
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_stack, [plan] * len(stacks), *zip(*stacks)))
     # The stacks cover the grid in order, so trial k of the flat list is

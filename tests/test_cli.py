@@ -582,6 +582,8 @@ def _loaded(modules, name):
 
 
 SMALL = ["--m", "40", "--n", "4", "--p", "0.5", "--seed", "0"]
+PHASE_SMALL = ["--m", "40", "--n", "4", "--p", "0.5:1:0.5", "--rho", "0.1", "--trials", "2",
+               "--seed", "0"]
 
 
 # (argv, exit code, modules it must not load, modules it must load)
@@ -596,8 +598,11 @@ COMMAND_IMPORTS = {
     "domain-error": (["decode", "--p", "2", "--m", "40", "--n", "4", "--rho", "0.1",
                       "--seed", "0"], 2,
                      ["scipy"], []),
-    "decode": (["decode", *SMALL, "--rho", "0.1"], 0, ["scipy.special", "multiprocessing"],
-               ["scipy.linalg"]),
+    # the decoder loads SciPy's compiled LAPACK module alone, no scipy package
+    "decode": (["decode", *SMALL, "--rho", "0.1"], 0, ["scipy", "multiprocessing"], []),
+    # two p values make two stacks, so --jobs 2 forks
+    "phase-jobs1": (["phase", *PHASE_SMALL, "--jobs", "1"], 0, ["scipy", "multiprocessing"], []),
+    "phase-jobs2": (["phase", *PHASE_SMALL, "--jobs", "2"], 0, ["scipy"], ["multiprocessing"]),
     "threshold": (["threshold", "--p-min", "0.5", "--p-max", "1", "--steps", "3",
                    "--derivative"], 0, ["scipy", "multiprocessing"], []),
 }

@@ -1,5 +1,6 @@
 """IRLS decoder and its weighted least-squares kernel."""
 
+import importlib.util
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dposv as scipy_dposv
 
 from lpdecode import (
     DecoderConfig,
@@ -80,6 +82,32 @@ def test_wls_detects_rank_deficiency():
     a = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(SingularityError):
         _solve_one(a, np.ones(3), np.ones(3))
+
+
+def test_dposv_loader_is_cached():
+    assert decoder._dposv() is decoder._dposv()
+
+
+@pytest.mark.parametrize("definite", [True, False])
+def test_dposv_is_scipy_lapack_dposv(definite):
+    gen = np.random.default_rng(5)
+    a = gen.standard_normal((30, 6))
+    gram = a.T @ a
+    if not definite:
+        gram[3, 3] = -1.0  # the leading minor of order 4 is not positive
+    b = gen.standard_normal(6)
+    ours = decoder._dposv()(gram, b, lower=0)
+    ref = scipy_dposv(gram, b, lower=0)
+    assert ours[2] == ref[2] and (ours[2] == 0) == definite
+    for got, want in zip(ours[:2], ref[:2]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_dposv_loader_without_scipy_names_it(monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: None)
+    with pytest.raises(ModuleNotFoundError, match="SciPy") as exc:
+        decoder._dposv.__wrapped__()  # the loader itself, past its cache
+    assert exc.value.name == "scipy"
 
 
 def _scaled_lstsq(a, y, w):
@@ -382,7 +410,7 @@ def test_decode_restarts_in_blocks_are_the_best_single_run(monkeypatch):
 def test_decode_memory_does_not_grow_with_restarts():
     # 16 restarts of a 200x20 A fill one block; 64 run as four such blocks
     inst = make_instance(200, 20, ErrorSpec(rho=0.2), SeedSpec(1, 0))
-    decode(inst.a, inst.y, DecoderConfig(p=0.5, restarts=2))  # load SciPy first
+    decode(inst.a, inst.y, DecoderConfig(p=0.5, restarts=2))  # load LAPACK first
     peaks = {}
     for restarts in (16, 64):
         tracemalloc.start()

@@ -21,12 +21,14 @@ from lpdecode import (
     brute_force_min_margin,
     concentration_study,
     decode,
+    gaussian_matrix,
     lp_objective,
     make_instance,
     mc_threshold_oracle,
     mu,
     phase_csv,
     run_sweep,
+    search_violation,
     signed_margin,
     solve_zstar,
     trial_seeds,
@@ -210,6 +212,41 @@ def test_number_arguments_reject_non_numbers(entry, bad):
     with pytest.raises(DomainError, match=f"{name} must lie in"):
         NUMBER_ENTRY_POINTS[entry](bad)
     NUMBER_ENTRY_POINTS[entry](0.5)
+
+
+# entry point -> (call with seed set to v, whether a None seed means SeedSpec(0, 0))
+SEED_ENTRY_POINTS = {
+    "gaussian_matrix": (lambda v: gaussian_matrix(20, 2, v), False),
+    "draw_support_signs": (lambda v: draw_support_signs(20, 0.1, v), False),
+    "make_instance": (lambda v: make_instance(20, 2, ErrorSpec(rho=0.1), v), False),
+    "decode": (
+        lambda v: decode(
+            np.vstack([np.eye(2), np.ones((2, 2))]), np.ones(4),
+            DecoderConfig(p=0.5, restarts=2), seed=v,
+        ),
+        True,
+    ),
+    "search_violation": (
+        lambda v: search_violation(
+            ConditionQuery(a=np.eye(3), p=0.5, mode="unsigned", rho=0.2), restarts=2, seed=v
+        ),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SEED_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bad", [3, np.int64(3), (3, 0), "3", None], ids=["int", "numpy_int", "tuple", "str", "None"]
+)
+def test_entry_points_reject_seeds_that_are_not_seed_specs(entry, bad):
+    call, none_is_default = SEED_ENTRY_POINTS[entry]
+    if bad is None and none_is_default:
+        call(None)
+    else:
+        with pytest.raises(DomainError, match="seed must be a SeedSpec"):
+            call(bad)
+    call(SeedSpec(3, 0))
 
 
 def _cells(rates, rhos, p=0.5, trials=100):
