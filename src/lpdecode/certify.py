@@ -88,7 +88,9 @@ class ConditionQuery:
             if self.support is None or not isinstance(self.signs, dict):
                 raise DomainError("signed mode needs a support and a sign map")
             t = _require_indices("support", self.support, m)
-            if len(np.unique(t)) != t.size:
+            # a sorted copy, not np.unique, which imports numpy.ma
+            s = np.sort(t)
+            if np.any(s[1:] == s[:-1]):
                 raise DomainError("support indices must be distinct")
             _require_indices("sign map keys", list(self.signs), m)
             if any(self.signs.get(int(i)) not in (-1, 1) for i in t):
@@ -155,9 +157,10 @@ def _top_k(absv: np.ndarray, k: int) -> np.ndarray:
     return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
-def _coefficients(q: ConditionQuery, v: np.ndarray) -> np.ndarray:
+def _coefficients(q: ConditionQuery, v: np.ndarray, absv: np.ndarray) -> np.ndarray:
     """Coefficients c of the margin sum_i c_i |v_i|^p under the condition ``q``
-    names, for v of shape (m,) or (R, m) (one row per direction).
+    names, for v of shape (m,) or (R, m) (one row per direction) and absv
+    its |v|, which every caller already has.
 
     Unsigned: -1 on T and +1 off it, T the ceil(rho m) largest |v_i| of each
     row, ties going to the lower index (``_top_k``).  Signed: +1 off the
@@ -167,7 +170,7 @@ def _coefficients(q: ConditionQuery, v: np.ndarray) -> np.ndarray:
     grows), and +1 at p = 1, where it is |v_i| for every M.
     """
     if q.mode == "unsigned":
-        return np.where(_top_k(np.abs(v), q._k), -1.0, 1.0)
+        return np.where(_top_k(absv, q._k), -1.0, 1.0)
     opposing = v * q._sgn < 0
     if q.p == 1:
         return np.where(opposing, -1.0, 1.0)
@@ -177,7 +180,8 @@ def _coefficients(q: ConditionQuery, v: np.ndarray) -> np.ndarray:
 def _margin(q: ConditionQuery) -> float:
     """The margin of the condition ``q`` names at ``q.z``."""
     v = q.a @ q.z
-    return float(np.dot(_coefficients(q, v), np.abs(v) ** q.p))
+    absv = np.abs(v)
+    return float(np.dot(_coefficients(q, v, absv), absv**q.p))
 
 
 def unsigned_margin(a: np.ndarray, p: float, rho: float, z) -> float:
@@ -199,18 +203,23 @@ def _margins_and_subgrads(q: ConditionQuery, z: np.ndarray) -> tuple[np.ndarray,
     a, p = q.a, q.p
     v = (a @ z[:, :, None])[:, :, 0]
     absv = np.abs(v)
-    pw = absv**p
+    coef = _coefficients(q, v, absv)
+    margins = (coef[:, None, :] @ (absv**p)[:, :, None])[:, 0, 0]
+    # The subgradient factor coef * p |v|^(p-1) sign(v), built in place.
     # |v|^(p-1) blows up at v = 0 for p < 1; floor it relative to the scale.
     floor = _GRAD_FLOOR * (absv.max(axis=1, keepdims=True) + 1e-300)
-    dfac = p * np.maximum(absv, floor) ** (p - 1.0) * np.sign(v)
-    coef = _coefficients(q, v)
-    margins = (coef[:, None, :] @ pw[:, :, None])[:, 0, 0]
-    grads = (a.T @ (coef * dfac)[:, :, None])[:, :, 0]
+    dfac = np.maximum(absv, floor, out=absv)
+    dfac **= p - 1.0
+    dfac *= p
+    dfac *= np.sign(v)
+    dfac *= coef
+    grads = (a.T @ dfac[:, :, None])[:, :, 0]
     return margins, grads
 
 
 def _descend(q: ConditionQuery, z: np.ndarray) -> tuple[float, np.ndarray]:
-    """Run the descent from every row of z at once, as one stack.
+    """Run the descent from every row of z at once, as one stack; z moves
+    in place.
 
     Returns the best margin seen and its direction: the first row, and then
     the first step, that attains it.  A row whose subgradient vanishes stays
@@ -227,14 +236,18 @@ def _descend(q: ConditionQuery, z: np.ndarray) -> tuple[float, np.ndarray]:
         if t == _SEARCH_STEPS:
             break
         gn = _norms(grads)[:, None]
-        if np.count_nonzero(gn) == 0:
+        stuck = np.flatnonzero(gn == 0.0)
+        if len(stuck) == restarts:
             break
-        stuck = gn == 0.0
-        gn[stuck] = 1.0
-        z_new = z - (_STEP_SCALE / math.sqrt(t + 1.0)) * grads / gn
-        z_new /= _norms(z_new)[:, None]
-        np.copyto(z_new, z, where=stuck)
-        z = z_new
+        if len(stuck):
+            held = z[stuck]
+            gn[stuck] = 1.0
+        grads *= _STEP_SCALE / math.sqrt(t + 1.0)
+        grads /= gn
+        z -= grads
+        z /= _norms(z)[:, None]
+        if len(stuck):
+            z[stuck] = held
     r = int(np.argmin(best_margin))
     return float(best_margin[r]), best_z[r]
 
@@ -321,8 +334,9 @@ def brute_force_min_margin(
     margins = np.empty(z.shape[1])
     for j in range(0, z.shape[1], step):
         v = q.a @ z[:, j : j + step]
-        coef = _coefficients(q, v.T).T
-        margins[j : j + step] = np.einsum("ij,ij->j", coef, np.abs(v) ** q.p)
+        absv = np.abs(v)
+        coef = _coefficients(q, v.T, absv.T).T
+        margins[j : j + step] = np.einsum("ij,ij->j", coef, absv**q.p)
     best = int(np.argmin(margins))
     return float(margins[best]), z[:, best].copy()
 
@@ -346,7 +360,7 @@ def attack_arbitrary(
     q = ConditionQuery(a=a, p=p, mode="unsigned", rho=rho, z=z)
     f = _finite("f", f, (q.a.shape[1],))
     v = q.a @ q.z
-    t = _coefficients(q, v) < 0
+    t = _coefficients(q, v, np.abs(v)) < 0
     e = np.zeros(len(v))
     e[t] = v[t]
     return e, f + q.z
@@ -378,8 +392,9 @@ def attack_fixed_sign(
     q = ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs, z=z)
     f = _finite("f", f, (q.a.shape[1],))
     v = q.a @ q.z
-    coef = _coefficients(q, v)
-    margin = float(np.dot(coef, np.abs(v) ** q.p))
+    absv = np.abs(v)
+    coef = _coefficients(q, v, absv)
+    margin = float(np.dot(coef, absv**q.p))
     if not margin < 0:
         raise DomainError(
             f"fixed-sign attack requires a strictly negative signed margin, got {margin}"
@@ -390,10 +405,10 @@ def attack_fixed_sign(
     t_plus = (q._sgn != 0) & ~t_minus
     e = np.zeros(len(v))
     e[t_minus] = -v[t_minus]
-    base = _HEAD_SCALE * max(np.max(np.abs(v)), 1e-300)
+    base = _HEAD_SCALE * max(np.max(absv), 1e-300)
     magnitude = base
     if q.p < 1:
-        head_abs = np.abs(v[t_plus])
+        head_abs = absv[t_plus]
         while True:
             gap = float(np.sum((magnitude + head_abs) ** q.p - magnitude**q.p))
             if gap < delta / 2:

@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -223,6 +224,10 @@ def _cmd_concentration(args) -> str:
     return concentration_csv(reports)
 
 
+# Built once per process: each add_argument asks the terminal for its size,
+# so a rebuild cost 1-2 ms per in-process call of main.  Parsing keeps no
+# state in the parser.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpdecode",

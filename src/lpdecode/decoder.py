@@ -1,11 +1,13 @@
 """IRLS decoder for min_x ||y - A x||_p^p with 0 < p <= 1.
 
 The nonsmooth objective is approached through a smoothed surrogate
-sum_i (r_i^2 + eps)^(p/2) over a fixed schedule of ten eps phases, 1, 0.1,
-..., 1e-8, each a tenth of the last.  Each phase runs at most 100 steps of
-reweighted least squares with weights w_i = (r_i^2 + eps)^(p/2-1), which
-majorizes the surrogate, so the smoothed objective is non-increasing within
-a phase.  eps is applied relative to the squared measurement scale
+sum_i (r_i^2 + eps)^(p/2) over a fixed schedule of ten eps phases: nine
+decades 1, 0.1, ..., 1.0000000000000005e-08, each the last times 0.1, then
+a repeat at exactly 1e-8, which starts where the ninth phase converged and
+so takes one step per decode in practice.  Each phase runs at most 100
+steps of reweighted least squares with weights w_i = (r_i^2 + eps)^(p/2-1),
+which majorizes the surrogate, so the smoothed objective is non-increasing
+within a phase.  eps is applied relative to the squared measurement scale
 ||y||^2 / m, which makes the whole iteration equivariant under y -> c y; the
 iteration itself runs on y and A divided by powers of two, so that holds
 across the whole float range.
@@ -41,8 +43,9 @@ from .errors import _require_in, _require_int, _require_p
 
 
 _EPS_MIN = 1e-8
-# The eps of each of the ten phases: 1, then each a tenth of the last
-# (eps * 0.1, whose floats differ from eps / 10's), floored at _EPS_MIN.
+# The eps of each of the ten phases: 1, then each the last times 0.1 (whose
+# floats differ from eps / 10's), floored at _EPS_MIN.  The ninth is
+# 1.0000000000000005e-08, just above the floor, so the tenth is _EPS_MIN.
 _EPS = [1.0]
 while _EPS[-1] > _EPS_MIN:
     _EPS.append(max(_EPS[-1] * 0.1, _EPS_MIN))
@@ -68,8 +71,9 @@ def _blocks(count: int, entries: int) -> list[tuple[int, int]]:
 @dataclass(frozen=True)
 class DecoderConfig:
     """The lp exponent and the number of IRLS restarts.  The rest is fixed:
-    every run takes the same ten eps phases, 1 down to 1e-8, of at most 100
-    inner iterations each."""
+    every run takes the same ten eps phases of at most 100 inner iterations
+    each, nine decades from 1 to 1.0000000000000005e-08 and then exactly
+    1e-8 (see ``_EPS``)."""
 
     p: float
     restarts: int = 1

@@ -197,10 +197,11 @@ def test_condition_query_validation():
         ConditionQuery(a=a, p=0.5, mode="signed", support=np.array([1]))
     with pytest.raises(DomainError):
         ConditionQuery(a=a, p=0.5, mode="signed", support=np.array([15]), signs={15: 1})
-    with pytest.raises(DomainError):
-        ConditionQuery(
-            a=a, p=0.5, mode="signed", support=np.array([1, 1]), signs={1: 1}
-        )
+    for support in ([1, 1], [3, 1, 3]):
+        with pytest.raises(DomainError):
+            ConditionQuery(
+                a=a, p=0.5, mode="signed", support=np.array(support), signs={1: 1, 3: -1}
+            )
     with pytest.raises(DomainError):
         ConditionQuery(a=a, p=0.5, mode="unsigned", rho=0.2, z=np.ones(3))
 
@@ -608,6 +609,14 @@ def test_restart_with_zero_subgradient_stays_while_others_continue():
     np.testing.assert_array_equal(alone.witness, z0 / np.linalg.norm(z0))
     assert rep.violated
     _assert_same_bits(rep, list(_reference_search(q, 3, SeedSpec(134, 0)))[-1])
+    # _descend moves its stack in place, but a stopped row keeps its bits,
+    # here a direction that is not of unit norm
+    z = np.vstack([2 * z0, SeedSpec(134, 0).generator().standard_normal((2, 3))])
+    start = z.copy()
+    with np.errstate(divide="raise", invalid="raise"):
+        certify._descend(q, z)
+    np.testing.assert_array_equal(z[0], start[0])
+    assert not np.any(z[1:] == start[1:])
 
 
 
@@ -639,8 +648,10 @@ def test_top_k_coefficients_match_stable_argsort(v, data):
     for k in (0, data.draw(st.integers(1, m)), m):
         q = ConditionQuery(a=np.ones((m, 1)), p=1.0, mode="unsigned", rho=k / m)
         assert q._k == k
-        np.testing.assert_array_equal(_coefficients(q, v), _stable_coefficients(v, k))
-        np.testing.assert_array_equal(_coefficients(q, v[0]), _stable_coefficients(v[0], k))
+        for row in (v, v[0]):
+            np.testing.assert_array_equal(
+                _coefficients(q, row, np.abs(row)), _stable_coefficients(row, k)
+            )
 
 
 @pytest.mark.parametrize("bad", [2.5, float("nan"), "3"])

@@ -551,14 +551,15 @@ def test_python_m_runs_cli(tmp_path):
 
 
 # Run in a fresh interpreter: the last stdout line is the exit code and the
-# loaded scipy and multiprocessing modules, as JSON.
+# loaded scipy, multiprocessing and numpy.ma modules, as JSON.
 _MODULES_AFTER = (
     "import json, sys\n"
     "import lpdecode, lpdecode.cli\n"
     "rc = lpdecode.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None\n"
     "sys.stdout.flush()\n"
     "print(json.dumps([rc, sorted(m for m in sys.modules\n"
-    "                          if m.split('.')[0] in ('scipy', 'multiprocessing'))]))\n"
+    "                          if m.split('.')[0] in ('scipy', 'multiprocessing')\n"
+    "                          or m.split('.')[:2] == ['numpy', 'ma'])]))\n"
 )
 
 
@@ -584,36 +585,61 @@ def _loaded(modules, name):
 SMALL = ["--m", "40", "--n", "4", "--p", "0.5", "--seed", "0"]
 PHASE_SMALL = ["--m", "40", "--n", "4", "--p", "0.5:1:0.5", "--rho", "0.1", "--trials", "2",
                "--seed", "0"]
+# stands for the prefix of a fixture the test writes to tmp_path
+FIXTURE = "<fixture>"
+# No command loads numpy.ma, which np.unique and np.setdiff1d import.
+NEVER = ["scipy", "numpy.ma"]
 
 
 # (argv, exit code, modules it must not load, modules it must load)
 COMMAND_IMPORTS = {
-    "certify": (["certify", "--mode", "unsigned", *SMALL, "--rho", "0.2", "--restarts", "2"], 0, ["scipy"], []),
+    "certify": (["certify", "--mode", "unsigned", *SMALL, "--rho", "0.2", "--restarts", "2"], 0,
+                NEVER, []),
+    "certify-signed": (["certify", "--mode", "signed", *SMALL, "--rho", "0.2", "--restarts", "2"],
+                       0, NEVER, []),
     "attack-arbitrary": (["attack", "--mode", "arbitrary", *SMALL, "--rho", "0.45"], 0,
-                         ["scipy"], []),
+                         NEVER, []),
+    "attack-fixed-sign": (["attack", "--mode", "fixed_sign", *SMALL, "--rho", "0.45",
+                           "--restarts", "2"], 0, NEVER, []),
     "concentration": (["concentration", "--rho", "0.5", "--p", "0.5", "--m", "10000",
-                       "--trials", "2", "--seed", "0"], 0, ["scipy"], []),
-    "help": (["--help"], 0, ["scipy"], []),
-    "usage-error": (["decode", "--p", "0.5"], 1, ["scipy"], []),
+                       "--trials", "2", "--seed", "0"], 0, NEVER, []),
+    "help": (["--help"], 0, NEVER, []),
+    "usage-error": (["decode", "--p", "0.5"], 1, NEVER, []),
     "domain-error": (["decode", "--p", "2", "--m", "40", "--n", "4", "--rho", "0.1",
                       "--seed", "0"], 2,
-                     ["scipy"], []),
+                     NEVER, []),
     # the decoder loads SciPy's compiled LAPACK module alone, no scipy package
-    "decode": (["decode", *SMALL, "--rho", "0.1"], 0, ["scipy", "multiprocessing"], []),
+    "decode": (["decode", *SMALL, "--rho", "0.1"], 0, [*NEVER, "multiprocessing"], []),
+    # read_instance validates the fixture
+    "decode-instance": (["decode", "--p", "0.5", "--instance", FIXTURE], 0,
+                        [*NEVER, "multiprocessing"], []),
     # two p values make two stacks, so --jobs 2 forks
-    "phase-jobs1": (["phase", *PHASE_SMALL, "--jobs", "1"], 0, ["scipy", "multiprocessing"], []),
-    "phase-jobs2": (["phase", *PHASE_SMALL, "--jobs", "2"], 0, ["scipy"], ["multiprocessing"]),
+    "phase-jobs1": (["phase", *PHASE_SMALL, "--jobs", "1"], 0, [*NEVER, "multiprocessing"], []),
+    "phase-jobs2": (["phase", *PHASE_SMALL, "--jobs", "2"], 0, NEVER, ["multiprocessing"]),
     "threshold": (["threshold", "--p-min", "0.5", "--p-max", "1", "--steps", "3",
-                   "--derivative"], 0, ["scipy", "multiprocessing"], []),
+                   "--derivative"], 0, [*NEVER, "multiprocessing"], []),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMAND_IMPORTS))
-def test_command_loads_only_what_it_uses(name):
+def test_command_loads_only_what_it_uses(name, tmp_path):
     argv, code, absent, present = COMMAND_IMPORTS[name]
+    if FIXTURE in argv:
+        write_instance(make_instance(40, 4, ErrorSpec(rho=0.2), SeedSpec(17, 0)), tmp_path / "inst")
+        argv = [str(tmp_path / "inst") if arg == FIXTURE else arg for arg in argv]
     rc, modules = _fresh_run(argv)
     assert rc == code
     for mod in absent:
         assert not _loaded(modules, mod), mod
     for mod in present:
         assert _loaded(modules, mod), mod
+
+
+def test_repeated_calls_share_no_parser_state(capsys):
+    # main builds its parser once per process: a failed parse must leave
+    # nothing behind for the calls after it
+    argv = ["certify", "--mode", "signed", *SMALL, "--rho", "0.2", "--restarts", "2"]
+    calls = [run(capsys, args) for args in (argv[:-1] + ["x"], argv, argv)]
+    assert [rc for rc, _, _ in calls] == [1, 0, 0]
+    assert calls[1][1] == calls[2][1] != ""
+    assert calls[1][2] == calls[2][2] == ""

@@ -180,6 +180,18 @@ def test_instance_validate_catches_corruption():
     inst.y = inst.y + 1.0
     with pytest.raises(DomainError):
         inst.validate()
+    # mass off the support, with y = a f + e kept
+    inst = make_instance(20, 3, ErrorSpec(rho=0.2), SeedSpec(4, 0))
+    off = min(set(range(20)) - set(inst.support.tolist()))
+    inst.e[off] = 1.0
+    inst.y = inst.a @ inst.f + inst.e
+    with pytest.raises(DomainError, match="off its declared support"):
+        inst.validate()
+    # a support index outside range(m)
+    inst = make_instance(20, 3, ErrorSpec(rho=0.2), SeedSpec(4, 0))
+    inst.support = np.append(inst.support, 20)
+    with pytest.raises(DomainError):
+        inst.validate()
 
 
 def test_instance_roundtrip(tmp_path):
