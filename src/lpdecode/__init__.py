@@ -49,7 +49,7 @@ from .harness import (
     run_sweep,
     trial_seeds,
 )
-from .seeding import generator_from, mix64, splitmix64
+from .seeding import mix64
 from .threshold import (
     CurveRequest,
     ThresholdPoint,
@@ -93,7 +93,6 @@ __all__ = [
     "drho_dp",
     "floor_count",
     "gaussian_matrix",
-    "generator_from",
     "lp_objective",
     "make_instance",
     "mc_threshold_oracle",
@@ -107,7 +106,6 @@ __all__ = [
     "search_violation",
     "signed_margin",
     "solve_zstar",
-    "splitmix64",
     "trial_seeds",
     "unsigned_margin",
     "write_instance",

@@ -12,17 +12,18 @@ within a phase.  eps is applied relative to the squared measurement scale
 iteration itself runs on y and A divided by powers of two, so that holds
 across the whole float range.
 
-One kernel, ``_irls``, runs IRLS on a stack of trials at once, and
-``_decode_stack`` scales each trial, starts it and scales its result back:
-the restarts of ``decode`` share one A, and a sweep stacks the A of the
-trials at one p.  Either way IRLS runs a bounded number of entries of A at
-a time, so memory does not grow with the restarts or trials.  Every step
-is one batched Gram product and residual over the live trials, then one
-LAPACK Cholesky solve per trial; a trial that finishes or fails leaves the
-stack, so no step is spent on it, and every trial's result is
-bit-identical to a run on its own.  That solve is LAPACK's dposv from
-SciPy's compiled ``_flapack`` extension, loaded on the first decode and on
-its own: no ``scipy`` package module is ever imported.
+One kernel, ``_irls``, runs IRLS on a stack of trials at once and returns
+arrays; ``_decode_stack`` scales each trial, starts it, and builds every
+result, or the error of a run that failed, in one loop.  The restarts of
+``decode`` share one A, and a sweep stacks the A of the trials at one p.
+Either way IRLS runs a bounded number of entries of A at a time, so
+memory does not grow with the restarts or trials.  Every step is one
+batched Gram product and residual over the live trials, then one LAPACK
+Cholesky solve per trial; a trial that finishes or fails leaves the stack,
+so no step is spent on it, and every trial's result is bit-identical to a
+run on its own.  That solve is LAPACK's dposv from SciPy's compiled
+``_flapack`` extension, loaded on the first decode and on its own: no
+``scipy`` package module is ever imported.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def _solve(a, w, y, dposv):
         pivots[t] = upper.diagonal()
         x[t] = xt
     pivots **= 2
-    ratios = pivots.min(axis=1) / pivots.max(axis=1) if n else np.zeros(len(w))
+    ratios = pivots.min(axis=1) / pivots.max(axis=1)
     for t in np.flatnonzero(~(ratios > _PIVOT_RATIO_MIN)):
         failed[t] = SingularityError(
             "weighted system is numerically rank deficient "
@@ -191,15 +192,16 @@ def _irls(a, y, p, x0, s2, live, dposv):
 
     a is (T, m, n) or (1, m, n), y is (T, m) or (1, m), x0 is (T, n), s2
     (T,) is the squared measurement scale of each trial, live (T,) marks
-    the trials to run and dposv is handed to every ``_solve``.  Returns one
-    (x, trace, iterations, converged, phase_starts) tuple per trial, the
-    LpdecodeError that trial raised, or None for a trial that was not live.
-    The stack holds only the live trials: a trial that finishes or fails is
-    gathered out of it (with its rows of a and y, unless one A is shared),
-    and its result is written back at its own index.
+    the trials to run and dposv is handed to every ``_solve``.  Returns
+    per-trial x (T, n), iterations (T,), converged (T,) and phase_starts
+    (T, phases), the trace (steps, T), whose first iterations[t] rows hold
+    trial t's objectives, and {trial: LpdecodeError} for the failures; a
+    trial that was not live or failed has zero rows.  The stack holds only
+    the live trials: a trial that finishes or fails is gathered out of it
+    (with its rows of a and y, unless one A is shared), and its result is
+    written back at its own index.
     """
     t_count, n = x0.shape
-    per_trial = len(a) == t_count
     ids = np.arange(t_count)  # the caller's index of each row of the stack
     x = x0
     r = y - (a @ x[..., None])[..., 0]
@@ -211,7 +213,7 @@ def _irls(a, y, p, x0, s2, live, dposv):
     trace = np.empty((len(_EPS) * _MAX_INNER, t_count))
     iterations = np.zeros(t_count, dtype=np.int64)
     phase_starts = np.zeros((t_count, len(_EPS)), dtype=np.int64)
-    x_out = np.empty((t_count, n))
+    x_out = np.zeros((t_count, n))
     converged = np.zeros(t_count, dtype=bool)
     errors: dict[int, LpdecodeError] = {}
     keep = live
@@ -221,7 +223,7 @@ def _irls(a, y, p, x0, s2, live, dposv):
             ids, x, r, s2, phase, inner = (
                 v[keep] for v in (ids, x, r, s2, phase, inner)
             )
-            if per_trial:
+            if len(a) > 1:  # a stack of restarts shares its one A
                 a, y = a[keep], y[keep]
         eps_abs = (_EPS[phase] * s2)[:, None]
         w = (r * r + eps_abs) ** (p / 2 - 1)
@@ -251,22 +253,7 @@ def _irls(a, y, p, x0, s2, live, dposv):
             x_out[ids[done]] = x[done]
             iterations[ids[done]] = k
             keep &= ~done
-
-    out = []
-    for t in range(t_count):
-        if not live[t]:
-            out.append(None)
-        elif t in errors:
-            out.append(errors[t])
-        elif not np.all(np.isfinite(x_out[t])):
-            out.append(NumericError("IRLS iterate became non-finite"))
-        else:
-            k = int(iterations[t])
-            out.append(
-                (x_out[t], trace[:k, t].tolist(), k, bool(converged[t]),
-                 phase_starts[t].tolist())
-            )
-    return out
+    return x_out, iterations, converged, phase_starts, trace, errors
 
 
 def _scale(a, y):
@@ -281,38 +268,6 @@ def _scale(a, y):
     ey = np.frexp(np.max(np.abs(y), axis=1))[1]
     ys = np.ldexp(y, -ey[:, None])
     return np.ldexp(a, -ea[:, None, None]), ys, ea, ey, np.mean(ys * ys, axis=1)
-
-
-def _zero_result(n: int) -> DecodeResult:
-    return DecodeResult(
-        x_hat=np.zeros(n),
-        objective=0.0,
-        objective_trace=[],
-        iterations=0,
-        converged=True,
-        phase_starts=[],
-    )
-
-
-def _result(a, y, p, run, ea, ey):
-    """Scale one kernel run back to the original A and y: a DecodeResult, or
-    the LpdecodeError of a run that failed."""
-    if isinstance(run, LpdecodeError):
-        return run
-    xs, trace, iterations, converged, phase_starts = run
-    x = np.ldexp(xs, ey - ea)
-    obj = lp_objective(y - a @ x, p)
-    if not math.isfinite(obj):
-        return NumericError("objective became non-finite")
-    trace_scale = float(np.exp2(ey * p))
-    return DecodeResult(
-        x_hat=x,
-        objective=obj,
-        objective_trace=[t * trace_scale for t in trace],
-        iterations=iterations,
-        converged=converged,
-        phase_starts=phase_starts,
-    )
 
 
 def decode(
@@ -353,9 +308,10 @@ def _decode_stack(a, y, p, restarts=1, seed=None):
     """Decode a stack of finite trials, a (T, m, n) and y (T, m), as one
     batched IRLS: one run per trial, or, for a single trial, one run per
     restart, started as ``decode`` describes from the SeedSpec ``seed``.
-    The runs go through IRLS in the blocks of ``_blocks``.  Returns one
-    DecodeResult per run, or the LpdecodeError that run raised; a run that
-    fails leaves the others' results unchanged."""
+    The runs go through IRLS in the blocks of ``_blocks``.  Returns, in run
+    order, one DecodeResult per run (x = 0 for a zero y, else scaled back
+    to the original A and y), or the LpdecodeError that run raised; a run
+    that fails leaves the others' results unchanged."""
     t_count, m, n = a.shape
     as_, ys, ea, ey, s2 = _scale(a, y)
     dposv = _dposv()
@@ -371,18 +327,33 @@ def _decode_stack(a, y, p, restarts=1, seed=None):
     # A zero y or a failed first solve keeps its runs out of the stack.
     runnable = s2 > 0
     runnable[list(failed)] = False
-    runs = []
+    out = []
     for i, j in _blocks(len(src), m * n):
         # restarts share the one A and y; trials bring their own
         a_b, y_b = (as_, ys) if restarts > 1 else (as_[i:j], ys[i:j])
-        runs += _irls(a_b, y_b, p, x0[i:j], s2[src[i:j]], runnable[src[i:j]], dposv)
-
-    out = []
-    for t, run in zip(src, runs):
-        if s2[t] == 0.0:
-            out.append(_zero_result(n))
-        elif t in failed:
-            out.append(failed[t])
-        else:
-            out.append(_result(a[t], y[t], p, run, ea[t], ey[t]))
+        xs, iterations, converged, phase_starts, trace, errors = _irls(
+            a_b, y_b, p, x0[i:j], s2[src[i:j]], runnable[src[i:j]], dposv
+        )
+        # an x past the float range scales back to inf, and its objective
+        # to inf or NaN, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.ldexp(xs, (ey - ea)[src[i:j], None])
+            for b, t in enumerate(src[i:j]):
+                if s2[t] == 0.0:
+                    out.append(DecodeResult(np.zeros(n), 0.0, [], 0, True, []))
+                    continue
+                error = failed.get(t) or errors.get(b)
+                obj = math.nan if error else lp_objective(y[t] - a[t] @ x[b], p)
+                if error or not math.isfinite(obj):
+                    out.append(error or NumericError("objective became non-finite"))
+                    continue
+                k = int(iterations[b])
+                out.append(DecodeResult(
+                    x_hat=x[b],
+                    objective=obj,
+                    objective_trace=(trace[:k, b] * np.exp2(ey[t] * p)).tolist(),
+                    iterations=k,
+                    converged=bool(converged[b]),
+                    phase_starts=phase_starts[b].tolist(),
+                ))
     return out

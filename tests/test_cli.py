@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lpdecode
-from lpdecode import ErrorSpec, SeedSpec, make_instance, rho_star, write_instance
+from lpdecode import ErrorSpec, Instance, SeedSpec, make_instance, rho_star, write_instance
 from lpdecode.cli import _parse_grid, _UsageError, main
 
 
@@ -535,19 +535,42 @@ def test_removed_flag_is_refused(capsys, name):
     assert flag in err
 
 
-def test_python_m_runs_cli(tmp_path):
+def _src_env():
+    """The environment for a fresh interpreter that imports this lpdecode."""
     src = str(Path(lpdecode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_python_m_runs_cli(tmp_path):
     argv = ["decode", "--p", "0.5", "--instance", str(tmp_path / "missing")]
     for module in ("lpdecode", "lpdecode.cli"):
         proc = subprocess.run(
             [sys.executable, "-m", module, *argv],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=_src_env(), timeout=120,
         )
         assert proc.returncode == 1, module
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert "missing" in proc.stderr
+
+
+def test_overflowing_decode_exits_with_one_line(tmp_path):
+    # the minimiser of this fixture lies past the float range; in a fresh
+    # interpreter every warning would print, so stderr shows all there is
+    a = 1e-200 * np.random.default_rng(0).standard_normal((20, 3))
+    e = np.zeros(20)
+    e[2], e[7] = 3e200, -2e200
+    inst = Instance(a=a, f=np.zeros(3), e=e, y=e.copy(), support=np.array([2, 7]),
+                    signs={2: 1, 7: -1})
+    write_instance(inst, tmp_path / "inst")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpdecode", "decode", "--p", "0.5",
+         "--instance", str(tmp_path / "inst")],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["error: objective became non-finite"]
 
 
 # Run in a fresh interpreter: the last stdout line is the exit code and the
@@ -564,11 +587,9 @@ _MODULES_AFTER = (
 
 
 def _fresh_run(argv):
-    src = str(Path(lpdecode.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_AFTER, *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])

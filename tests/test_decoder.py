@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lpdecode import (
     DecoderConfig,
     DomainError,
     ErrorSpec,
+    NumericError,
     SeedSpec,
     SingularityError,
     SweepPlan,
@@ -239,11 +241,12 @@ def test_decode_matrix_scale_across_float_range(d):
 
 def test_decode_zero_measurements():
     a = np.random.default_rng(0).standard_normal((10, 3))
-    res = decode(a, np.zeros(10), DecoderConfig(p=0.5))
-    np.testing.assert_array_equal(res.x_hat, np.zeros(3))
-    assert res.converged
-    assert res.objective == 0.0
-    assert res.iterations == 0
+    for restarts in (1, 3):
+        res = decode(a, np.zeros(10), DecoderConfig(p=0.5, restarts=restarts))
+        np.testing.assert_array_equal(res.x_hat, np.zeros(3))
+        assert res.converged
+        assert res.objective == 0.0
+        assert res.iterations == 0
 
 
 def test_decode_deterministic_with_restarts():
@@ -433,8 +436,37 @@ def test_singular_trial_fails_alone():
     assert stacked[1].iterations == 0 and not stacked[1].x_hat.any()
     for t in (0, 1, 3):
         assert _key(stacked[t]) == _key(decode(a[t], y[t], DecoderConfig(p=0.5)))
-    with pytest.raises(SingularityError):
-        decode(a[2], y[2], DecoderConfig(p=0.5))
+    for restarts in (1, 3):
+        with pytest.raises(SingularityError):
+            decode(a[2], y[2], DecoderConfig(p=0.5, restarts=restarts))
+
+
+def _overflowing_trial():
+    """A 20x3 trial whose minimiser lies past the float range: A is 1e-200
+    times a Gaussian matrix and y = e has two entries, 3e200 and -2e200."""
+    a = 1e-200 * np.random.default_rng(0).standard_normal((20, 3))
+    y = np.zeros(20)
+    y[2], y[7] = 3e200, -2e200
+    return a, y
+
+
+def test_overflowing_minimiser_raises_numeric_error_without_warnings():
+    a, y = _overflowing_trial()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="objective became non-finite"):
+            decode(a, y, DecoderConfig(p=0.5))
+
+
+def test_overflowing_trial_fails_alone():
+    a, y = _cell_stack("arbitrary", 0.5, 0.2, 3, 20, 3, 5)
+    a[1], y[1] = _overflowing_trial()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _decode_stack(a, y, 0.5)
+    assert isinstance(stacked[1], NumericError)
+    for t in (0, 2):
+        assert _key(stacked[t]) == _key(_decode_stack(a[t : t + 1], y[t : t + 1], 0.5)[0])
 
 
 def test_finished_trials_leave_the_stack(monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lpdecode import generator_from, mix64, splitmix64
+from lpdecode.seeding import generator_from, mix64, splitmix64
 
 
 def test_splitmix64_known_values():

@@ -241,7 +241,7 @@ def test_mc_oracle_matches_quadrature_threshold():
 
 def test_mc_oracle_prefix_sum_property():
     # replay the oracle's documented stream and check the defining cut
-    from lpdecode import generator_from
+    from lpdecode.seeding import generator_from
 
     p, m, seed = 0.7, 20_000, 9
     est = mc_threshold_oracle(p, m, seed)
