@@ -39,8 +39,8 @@ import numpy as np
 
 from .ensemble import SeedSpec, _require_seed, ceil_count
 from .decoder import _norms
-from .errors import DomainError, NumericError, _require_in, _require_indices
-from .errors import _require_int, _require_p, _require_rho
+from .errors import DomainError, NumericError, _require_count, _require_finite, _require_in
+from .errors import _require_indices, _require_matrix, _require_p, _require_rho
 
 _SEARCH_STEPS = 500
 _STEP_SCALE = 0.3
@@ -75,9 +75,7 @@ class ConditionQuery:
     _sgn: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        a = _finite("a", self.a)
-        if a.ndim != 2 or a.shape[1] < 1 or a.shape[0] < a.shape[1]:
-            raise DomainError(f"a must be m x n with m >= n >= 1, got shape {a.shape}")
+        a = _require_matrix(self.a)
         m, n = a.shape
         object.__setattr__(self, "a", a)
         _require_p(self.p)
@@ -102,7 +100,7 @@ class ConditionQuery:
         else:
             raise DomainError(f"unknown mode {self.mode!r}")
         if self.z is not None:
-            z = _finite("z", self.z, (n,))
+            z = _require_finite("z", self.z, (n,))
             if not np.any(z):
                 raise DomainError("direction z must be nonzero")
             object.__setattr__(self, "z", z)
@@ -116,20 +114,6 @@ class CertifyReport:
     witness: np.ndarray
     violated: bool
     restarts_used: int
-
-
-def _finite(name: str, value, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """``value`` as a float array; DomainError unless it is numeric, finite
-    and, when ``shape`` is given, of that shape."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be an array of numbers") from None
-    if shape is not None and arr.shape != shape:
-        raise DomainError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    return arr
 
 
 def _top_k(absv: np.ndarray, k: int) -> np.ndarray:
@@ -270,9 +254,7 @@ def search_violation(
     evidence, since the search is not exhaustive.  NumericError when no
     margin was below +inf (A z overflowed everywhere).
     """
-    _require_int("restarts", restarts)
-    if restarts < 1:
-        raise DomainError("restarts must be at least 1")
+    _require_count("restarts", restarts)
     gen = _require_seed(seed, SeedSpec(0, 0)).generator()
     m, n = q.a.shape
     size = max(1, _BLOCK_ENTRIES // m)
@@ -358,7 +340,7 @@ def attack_arbitrary(
         ||y - A f||_p^p     = sum_{i in T} |(A z)_i|^p.
     """
     q = ConditionQuery(a=a, p=p, mode="unsigned", rho=rho, z=z)
-    f = _finite("f", f, (q.a.shape[1],))
+    f = _require_finite("f", f, (q.a.shape[1],))
     v = q.a @ q.z
     t = _coefficients(q, v, np.abs(v)) < 0
     e = np.zeros(len(v))
@@ -390,7 +372,7 @@ def attack_fixed_sign(
     ||y - A x_alt||_p^p <= ||e||_p^p - delta / 2.
     """
     q = ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs, z=z)
-    f = _finite("f", f, (q.a.shape[1],))
+    f = _require_finite("f", f, (q.a.shape[1],))
     v = q.a @ q.z
     absv = np.abs(v)
     coef = _coefficients(q, v, absv)

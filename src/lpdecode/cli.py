@@ -44,6 +44,8 @@ from .seeding import mix64
 from .threshold import CurveRequest, curve, curve_csv
 
 _ENV_SEED = "LPDECODE_SEED"
+# Far more points than a sweep needs; refuses a mistyped step such as 1e-12.
+_MAX_GRID_POINTS = 10**6
 
 
 class _UsageError(Exception):
@@ -71,8 +73,10 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise _UsageError(f"grid step must be positive, got {step}")
     if stop < start:
         raise _UsageError(f"grid stop {stop} is below start {start}")
-    count = int((stop - start + step / 2) // step) + 1
-    return tuple(start + i * step for i in range(count))
+    count = (stop - start + step / 2) // step + 1
+    if not count <= _MAX_GRID_POINTS:
+        raise _UsageError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    return tuple(start + i * step for i in range(int(count)))
 
 
 def _resolve_seed(args) -> int:

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import SeedSpec, _require_seed
-from .errors import DomainError, LpdecodeError, NumericError, SingularityError
-from .errors import _require_in, _require_int, _require_p
+from .errors import LpdecodeError, NumericError, SingularityError, _as_floats
+from .errors import _require_count, _require_finite, _require_matrix, _require_p
 
 
 _EPS_MIN = 1e-8
@@ -81,9 +81,7 @@ class DecoderConfig:
 
     def __post_init__(self):
         _require_p(self.p)
-        _require_int("restarts", self.restarts)
-        if self.restarts < 1:
-            raise DomainError("restarts must be at least 1")
+        _require_count("restarts", self.restarts)
 
 
 @dataclass(eq=False)
@@ -105,8 +103,8 @@ class DecodeResult:
 
 def lp_objective(r: np.ndarray, p: float) -> float:
     """sum_i |r_i|^p for p in (0, 2]."""
-    _require_in("p", p, lambda v: 0 < v <= 2, "(0, 2]")
-    return float(np.sum(np.abs(np.asarray(r, dtype=float)) ** p))
+    _require_p(p, top=2)
+    return float(np.sum(np.abs(_as_floats("r", r)) ** p))
 
 
 @functools.cache
@@ -284,17 +282,8 @@ def decode(
     restarts share A and run in blocks of at most 2**16 entries of it, so
     memory stays bounded however many there are.
     """
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if a.ndim != 2:
-        raise DomainError(f"a must be a matrix, got ndim={a.ndim}")
-    m, n = a.shape
-    if n < 1 or m < n:
-        raise DomainError(f"decoding requires m >= n >= 1, got m={m}, n={n}")
-    if y.shape != (m,):
-        raise DomainError(f"y must have length m={m}, got shape {y.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(y))):
-        raise DomainError("a and y must be finite")
+    a = _require_matrix(a)
+    y = _require_finite("y", y, a.shape[:1])
     seed = _require_seed(seed, SeedSpec(0, 0))
 
     runs = _decode_stack(a[None], y[None], cfg.p, cfg.restarts, seed)

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, _require_in, _require_indices, _require_int, _require_rho
+from .errors import DomainError, _as_floats, _require_count, _require_finite, _require_in
+from .errors import _require_indices, _require_int, _require_matrix, _require_rho, _require_shape
 from .seeding import generator_from
 
 # Guard against 0.29*100 = 28.999999999999996-style float droop in k = floor(rho*m).
@@ -45,9 +46,7 @@ class SeedSpec:
 
     def __post_init__(self):
         _require_int("master_seed", self.master_seed)
-        _require_int("stream_id", self.stream_id)
-        if self.stream_id < 0:
-            raise DomainError(f"stream_id must be non-negative, got {self.stream_id}")
+        _require_count("stream_id", self.stream_id, least=0)
 
     def generator(self) -> np.random.Generator:
         return generator_from(self.master_seed, self.stream_id)
@@ -77,9 +76,7 @@ class ErrorSpec:
     fixed_signs: dict[int, int] | None = None
 
     def __post_init__(self):
-        _require_rho(self.rho)
-        if self.rho == 1:
-            raise DomainError(f"rho must lie in [0, 1), got {self.rho}")
+        _require_rho(self.rho, below_one=True)
         if self.fixed_signs is not None:
             if not isinstance(self.fixed_signs, dict) or not self.fixed_signs:
                 raise DomainError("fixed_signs must be a non-empty map")
@@ -109,33 +106,30 @@ class Instance:
 
     def validate(self) -> None:
         """Raise if any construction invariant is broken."""
-        m = self.m
-        resid = self.y - self.a @ self.f - self.e
-        scale = max(1.0, float(np.max(np.abs(self.y))) if m else 1.0)
+        a = _require_matrix(self.a)
+        m, n = a.shape
+        f = _require_finite("f", self.f, (n,))
+        e = _require_finite("e", self.e, (m,))
+        y = _require_finite("y", self.y, (m,))
+        resid = y - a @ f - e
+        scale = max(1.0, float(np.max(np.abs(y))))
         if np.max(np.abs(resid), initial=0.0) > 64 * np.finfo(float).eps * scale:
             raise DomainError("instance violates y = a f + e at working precision")
         # a mask, not np.setdiff1d, which imports numpy.ma through np.unique
         off = np.ones(m, dtype=bool)
         off[_require_indices("support", self.support, m)] = False
-        if np.any(self.e[off] != 0):
+        if np.any(e[off] != 0):
             raise DomainError("error vector has mass off its declared support")
         if sorted(self.signs) != list(self.support):
             raise DomainError("sign map keys do not match the support")
         for i in self.support:
-            if self.e[i] != 0 and int(np.sign(self.e[i])) != self.signs[int(i)]:
+            if e[i] != 0 and int(np.sign(e[i])) != self.signs[int(i)]:
                 raise DomainError(f"sign map disagrees with e at index {i}")
-
-
-def _check_shape(m: int, n: int) -> None:
-    _require_int("m", m)
-    _require_int("n", n)
-    if n < 1 or m < n:
-        raise DomainError(f"coding model requires m >= n >= 1, got m={m}, n={n}")
 
 
 def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
     """m x n matrix of i.i.d. N(0,1) entries from the seeded stream (m >= n)."""
-    _check_shape(m, n)
+    _require_shape(m, n)
     return _require_seed(seed).generator().standard_normal((m, n))
 
 
@@ -145,9 +139,7 @@ def draw_support_signs(m: int, rho: float, seed: SeedSpec) -> tuple[np.ndarray, 
     The support comes back sorted.  The draw order is frozen (support by
     ``choice``, then the signs), so a seed always gives the same pair.
     """
-    _require_int("m", m)
-    if m < 1:
-        raise DomainError(f"m must be at least 1, got {m}")
+    _require_count("m", m)
     _require_rho(rho)
     gen = _require_seed(seed).generator()
     k = floor_count(rho, m)
@@ -165,7 +157,7 @@ def make_instance(m: int, n: int, spec: ErrorSpec, seed: SeedSpec) -> Instance:
     in a frozen order: matrix, message, support (arbitrary errors only),
     magnitudes, signs (arbitrary errors only).
     """
-    _check_shape(m, n)
+    _require_shape(m, n)
     gen = _require_seed(seed).generator()
     a = gen.standard_normal((m, n))
     f = gen.standard_normal(n)
@@ -199,10 +191,8 @@ def apply_decoder_success(x_hat: np.ndarray, f: np.ndarray, tol: float = 1e-4) -
     recovers, and some of those read as failures.
     """
     _require_in("tol", tol, lambda t: t >= 0, "[0, inf]")
-    x_hat = np.asarray(x_hat, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if x_hat.shape != f.shape:
-        raise DomainError(f"shape mismatch: {x_hat.shape} vs {f.shape}")
+    x_hat = _as_floats("x_hat", x_hat)
+    f = _as_floats("f", f, x_hat.shape)
     return bool(np.max(np.abs(x_hat - f), initial=0.0) <= tol)
 
 

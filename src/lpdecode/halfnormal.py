@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import _require_in
+from .errors import _require_p
 
 
 def mu(p: float) -> float:
     """E|X|**p = 2**(p/2) * Gamma((p+1)/2) / sqrt(pi) for p in (0, 2]."""
-    _require_in("p", p, lambda v: 0 < v <= 2, "(0, 2]")
+    _require_p(p, top=2)
     return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)

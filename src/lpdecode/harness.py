@@ -25,7 +25,8 @@ from .ensemble import (
     floor_count,
     make_instance,
 )
-from .errors import DomainError, LpdecodeError, _require_int, _require_p, _require_rho
+from .errors import DomainError, LpdecodeError, _require_count, _require_int, _require_p
+from .errors import _require_rho, _require_shape
 from .halfnormal import mu
 from .seeding import mix64
 
@@ -47,22 +48,20 @@ class SweepPlan:
     master_seed: int = 0
 
     def __post_init__(self):
-        for p in self.p_values:
-            _require_p(p)
-        for r in self.rho_values:
-            _require_rho(r)
-        object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
-        object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
-        for name in ("m", "n", "trials", "master_seed"):
-            _require_int(name, getattr(self, name))
-        if self.n < 1 or self.m < self.n:
-            raise DomainError(f"need m >= n >= 1, got m={self.m}, n={self.n}")
+        checks = {"p_values": _require_p, "rho_values": lambda r: _require_rho(r, below_one=True)}
+        for name, check in checks.items():
+            try:
+                values = tuple(getattr(self, name))
+            except TypeError:
+                raise DomainError(f"{name} must be a sequence of numbers") from None
+            for v in values:
+                check(v)
+            object.__setattr__(self, name, tuple(float(v) for v in values))
+        _require_shape(self.m, self.n)
+        _require_count("trials", self.trials)
+        _require_int("master_seed", self.master_seed)
         if not self.p_values or not self.rho_values:
             raise DomainError("p and rho grids must be non-empty")
-        if 1.0 in self.rho_values:
-            raise DomainError("all rho values must lie in [0, 1)")
-        if self.trials < 1:
-            raise DomainError("trials must be at least 1")
         if self.error_regime not in _REGIMES:
             raise DomainError(f"unknown error_regime {self.error_regime!r}")
 
@@ -218,9 +217,7 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[PhaseCell]:
     """Run every (p, rho) cell, in grid order; results are identical for
     any ``jobs`` >= 1, which run the stacks of ``_stacks`` across processes
     (never more processes than stacks)."""
-    _require_int("jobs", jobs)
-    if jobs < 1:
-        raise DomainError("jobs must be at least 1")
+    _require_count("jobs", jobs)
     stacks = _stacks(plan)
     workers = min(jobs, len(stacks))
     if workers == 1:
@@ -253,15 +250,9 @@ def concentration_study(
     turns at rho = 2/3 for p < 1; at p = 1 the sign-agreeing head counts
     for recovery too, the margin is about 1 - rho and stays positive.
     """
-    _require_int("m", m)
-    _require_int("trials", trials)
-    if m < 10_000:
-        raise DomainError(f"concentration study needs m >= 10000, got {m}")
-    if trials < 1:
-        raise DomainError("trials must be at least 1")
-    _require_rho(rho)
-    if rho == 1:
-        raise DomainError(f"rho must lie in [0, 1), got {rho}")
+    _require_count("m", m, least=10_000)
+    _require_count("trials", trials)
+    _require_rho(rho, below_one=True)
     _require_p(p)
 
     gen = SeedSpec(seed, 0).generator()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _require_int, _require_p
+from .errors import DomainError, NumericError, _require_count, _require_int, _require_p
 from .seeding import generator_from
 
 
@@ -62,9 +62,7 @@ class CurveRequest:
             raise DomainError(
                 f"need p_min <= p_max, got p_min={self.p_min}, p_max={self.p_max}"
             )
-        _require_int("steps", self.steps)
-        if self.steps < 1:
-            raise DomainError(f"steps must be >= 1, got {self.steps}")
+        _require_count("steps", self.steps)
         if self.steps == 1 and self.p_min != self.p_max:
             raise DomainError("a single-point request needs p_min == p_max")
 
@@ -202,10 +200,8 @@ def mc_threshold_oracle(p: float, m: int, seed: int) -> float:
     so identical seeds give identical estimates.
     """
     _require_p(p)
-    _require_int("m", m)
+    _require_count("m", m, least=10_000)
     _require_int("seed", seed)
-    if m < 10_000:
-        raise DomainError(f"need m >= 10^4 for a meaningful estimate, got {m}")
     gen = generator_from(seed, 0)
     y = np.sort(np.abs(gen.standard_normal(m)) ** p)[::-1]
     prefix = np.cumsum(y)

@@ -1,5 +1,7 @@
 """Command-line interface: flags, exit codes, byte-stable artifacts."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpdecode
 from lpdecode import ErrorSpec, Instance, SeedSpec, make_instance, rho_star, write_instance
@@ -38,6 +42,10 @@ def test_grid_rejects_malformed():
         _parse_grid("0.4:0.2:0.1")
     with pytest.raises(_UsageError):
         _parse_grid("0.1:0.5:0")
+    # grids past the point cap are refused before any point is made
+    for text in ("0:1:1e-6", "0:0.5:1e-12", "0:1:5e-324", "-1e308:1e308:1"):
+        with pytest.raises(_UsageError, match="more than 1000000 points"):
+            _parse_grid(text)
 
 
 def test_no_subcommand_exits_one(capsys):
@@ -465,6 +473,7 @@ _PHASE = ["phase", "--m", "40", "--n", "5", "--trials", "1", "--seed", "1"]
         (_PHASE + ["--p", "0.5", "--rho", "nan:1:0.1"], 1),
         (_PHASE + ["--p", "0:inf:0.1", "--rho", "0.1"], 1),
         (_PHASE + ["--p", "0.5", "--rho", "abc"], 1),
+        (_PHASE + ["--p", "0.5", "--rho", "0:1:1e-6"], 1),
         (["decode", "--p", "0.5", "--instance", "{tmp}/missing"], 1),
         (["threshold", "--p-min", "1", "--p-max", "1", "--steps", "1", "--out", "{tmp}"], 1),
         (["certify", "--mode", "signed", "--p", "0.5", "--m", "40", "--n", "3",
@@ -476,6 +485,7 @@ _PHASE = ["phase", "--m", "40", "--n", "5", "--trials", "1", "--seed", "1"]
         "nan_grid",
         "inf_grid",
         "text_grid",
+        "over_cap_grid",
         "missing_instance",
         "unwritable_out",
         "certify_rho_above_one",
@@ -509,6 +519,79 @@ def test_malformed_fixture_exits_with_one_line(capsys, tmp_path, corrupt):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "malformed fixture" in err
+
+
+_DECODE = ["decode", "--p", "0.5"]
+_CERTIFY = ["certify", "--mode", "signed", "--p", "0.5", "--seed", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (_DECODE, "f", [float("nan"), 0.0, 0.0]),
+        (_DECODE, "f", [0.0, 0.0]),
+        (_CERTIFY, "y", [0.0] * 19),
+    ],
+    ids=["decode_f_nan", "decode_f_short", "certify_y_short"],
+)
+def test_corrupt_fixture_vector_exits_two_with_one_line(capsys, tmp_path, argv, key, value):
+    # a NaN f was decoded and printed as invalid JSON; a short f or y ended
+    # in a ValueError traceback
+    write_instance(make_instance(20, 3, ErrorSpec(rho=0.1), SeedSpec(4, 0)), tmp_path / "inst")
+    sidecar = tmp_path / "inst.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+    rc, out, err = run(capsys, argv + ["--instance", str(tmp_path / "inst")])
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "must" in err
+
+
+_SEEDS = ["0", "7"]
+_M, _N = ["12", "40"], ["1", "4"]
+# subcommand -> {flag: small valid values}
+CLI_VALUES = {
+    "threshold": {"--p-min": ["0.25", "1"], "--p-max": ["0.5", "1"], "--steps": ["1", "5"]},
+    "decode": {"--p": ["0.5", "1"], "--m": _M, "--n": _N, "--rho": ["0.1", "0.3"],
+               "--restarts": ["1", "2"], "--seed": _SEEDS},
+    "phase": {"--m": _M, "--n": _N, "--p": ["0.5", "0.5:1:0.5"], "--rho": ["0.1", "0:0.2:0.1"],
+              "--trials": ["1", "2"], "--regime": ["arbitrary", "fixed_sign", "adversarial"],
+              "--jobs": ["1"], "--seed": _SEEDS},
+    "certify": {"--mode": ["unsigned", "signed"], "--p": ["0.5", "1"], "--m": _M, "--n": _N,
+                "--rho": ["0.1", "0.4"], "--restarts": ["1", "2"], "--seed": _SEEDS},
+    "attack": {"--mode": ["arbitrary", "fixed_sign"], "--m": _M, "--n": _N,
+               "--p": ["0.5", "1"], "--rho": ["0.2", "0.45"], "--restarts": ["1", "2"],
+               "--seed": _SEEDS},
+    "concentration": {"--rho": ["0.5", "0.5:0.8:0.15"], "--p": ["0.5", "1"],
+                      "--m": ["10000"], "--trials": ["1", "2"], "--seed": _SEEDS},
+}
+# non-numbers, non-finite and out-of-range values, a zero grid step and a
+# grid past the point cap
+BAD_TOKENS = ["nan", "inf", "-1", "0", "1e308", "x", "", "0:1:0", "0:1:1e-6"]
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(CLI_VALUES)))
+    flags = CLI_VALUES[command]
+    bad = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command]
+    for flag, valid in flags.items():
+        argv += [f"{flag}={draw(st.sampled_from(BAD_TOKENS if flag in bad else valid))}"]
+    return argv
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(argv=_cli_argv())
+def test_every_run_exits_zero_one_or_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert out.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
 
 
 # Flags that were removed, with a run that passes one; argparse must refuse it.

@@ -192,6 +192,17 @@ def test_instance_validate_catches_corruption():
     inst.support = np.append(inst.support, 20)
     with pytest.raises(DomainError):
         inst.validate()
+    # a NaN in f made a NaN residual, which passed the residual test
+    inst = make_instance(20, 3, ErrorSpec(rho=0.2), SeedSpec(4, 0))
+    inst.f[0] = np.nan
+    with pytest.raises(DomainError, match="f must be finite"):
+        inst.validate()
+    # a vector one entry short broke the residual's product or sum
+    for name in ("f", "e", "y"):
+        inst = make_instance(20, 3, ErrorSpec(rho=0.2), SeedSpec(4, 0))
+        setattr(inst, name, getattr(inst, name)[:-1])
+        with pytest.raises(DomainError, match=f"{name} must have shape"):
+            inst.validate()
 
 
 def test_instance_roundtrip(tmp_path):

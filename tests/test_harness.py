@@ -112,17 +112,23 @@ def test_entry_points_reject_rho_outside_unit_interval(entry, bad):
     RHO_ENTRY_POINTS[entry](0.5)
 
 
-# Malformed certify inputs, each a replacement for one or two of the valid
-# ones in CONTRACT_BASE.
+# Malformed array and grid inputs, each a replacement for one or two of the
+# valid ones in CONTRACT_BASE.  ``vector`` may hold NaN (lp_objective and
+# apply_decoder_success pass it through), but it must be numeric.
 CONTRACT_BASE = {
     "a": np.eye(3),
     "f": np.ones(3),
     "z": np.ones(3),
     "support": [0, 1, 2],
     "signs": {0: -1, 1: -1, 2: -1},
+    "vector": np.ones(3),
+    "p_values": (0.5,),
+    "rho_values": (0.1,),
 }
 CONTRACT_CASES = {
     "a_1d": {"a": np.ones(3)},
+    "a_text": {"a": [["a"] * 3] * 3},
+    "a_ragged": {"a": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]},
     "a_m_below_n": {"a": np.ones((2, 3))},
     "a_nan": {"a": np.diag([np.nan, 1.0, 1.0])},
     "z_nan": {"z": np.array([1.0, np.nan, 1.0])},
@@ -135,6 +141,10 @@ CONTRACT_CASES = {
     "sign_key_float": {"signs": {0.7: -1, 1: -1, 2: -1}},
     "sign_key_str": {"signs": {"a": -1, 1: -1, 2: -1}},
     "signs_not_a_map": {"signs": [-1, -1, -1]},
+    "vector_text": {"vector": "abc"},
+    "vector_ragged": {"vector": [[1.0], [1.0, 2.0]]},
+    "p_values_scalar": {"p_values": 0.5},
+    "rho_values_scalar": {"rho_values": 0.1},
 }
 # entry point -> (the inputs it reads, call)
 CONTRACT_ENTRY_POINTS = {
@@ -161,6 +171,17 @@ CONTRACT_ENTRY_POINTS = {
     "make_instance": (
         "signs",
         lambda c: make_instance(3, 1, ErrorSpec(rho=0.1, fixed_signs=c["signs"]), SeedSpec(0, 0)),
+    ),
+    "decode": ("a", lambda c: decode(c["a"], np.ones(3), DecoderConfig(p=0.5))),
+    "lp_objective": ("vector", lambda c: lp_objective(c["vector"], 0.5)),
+    "apply_decoder_success": (
+        "vector", lambda c: apply_decoder_success(c["vector"], c["vector"])
+    ),
+    "SweepPlan": (
+        "p_values rho_values",
+        lambda c: SweepPlan(
+            m=20, n=2, p_values=c["p_values"], rho_values=c["rho_values"], trials=1
+        ),
     ),
 }
 
