@@ -57,7 +57,8 @@ class ConditionQuery:
     checked: every function of this module takes or builds one.
 
     ``mode`` is ``unsigned`` (needs ``rho``) or ``signed`` (needs ``support``,
-    distinct integer indices, and ``signs``, +1 or -1 for each of them).
+    distinct integer indices, and ``signs``, +1 or -1 for each of them);
+    each mode refuses the other's fields, which it would not read.
     ``z``, a nonzero direction, is where the margins and attacks evaluate
     and where the violation search starts.
     """
@@ -80,9 +81,13 @@ class ConditionQuery:
         object.__setattr__(self, "a", a)
         _require_p(self.p)
         if self.mode == "unsigned":
+            if self.support is not None or self.signs is not None:
+                raise DomainError("unsigned mode takes no support or sign map")
             _require_rho(self.rho)
             object.__setattr__(self, "_k", ceil_count(self.rho, m))
         elif self.mode == "signed":
+            if self.rho is not None:
+                raise DomainError("signed mode takes no rho: its support fixes the error count")
             if self.support is None or not isinstance(self.signs, dict):
                 raise DomainError("signed mode needs a support and a sign map")
             t = _require_indices("support", self.support, m)

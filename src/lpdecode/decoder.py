@@ -17,13 +17,15 @@ arrays; ``_decode_stack`` scales each trial, starts it, and builds every
 result, or the error of a run that failed, in one loop.  The restarts of
 ``decode`` share one A, and a sweep stacks the A of the trials at one p.
 Either way IRLS runs a bounded number of entries of A at a time, so
-memory does not grow with the restarts or trials.  Every step is one
-batched Gram product and residual over the live trials, then one LAPACK
-Cholesky solve per trial; a trial that finishes or fails leaves the stack,
-so no step is spent on it, and every trial's result is bit-identical to a
-run on its own.  That solve is LAPACK's dposv from SciPy's compiled
-``_flapack`` extension, loaded on the first decode and on its own: no
-``scipy`` package module is ever imported.
+memory does not grow with the restarts or trials.  A block holds its A
+three times at most: the stacked A it was given, one scaled copy, and one
+weighted copy per step.  Every step is one batched Gram product and
+residual over the live trials, then one LAPACK Cholesky solve per trial; a
+trial that finishes or fails leaves the stack, its rows of the scaled copy
+compacted in place, so no step is spent on it, and every trial's result is
+bit-identical to a run on its own.  That solve is LAPACK's dposv from
+SciPy's compiled ``_flapack`` extension, loaded on the first decode and on
+its own: no ``scipy`` package module is ever imported.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ _INNER_TOL = 1e-10
 _PIVOT_RATIO_MIN = math.sqrt(np.finfo(float).eps)
 # IRLS runs a stack of trials or restarts in blocks of at most this many
 # entries of A (always at least one run), so memory does not grow with
-# their number: each step makes a weighted copy of A for every run.
+# their number: a block holds its A, one scaled copy that IRLS compacts
+# in place, and one weighted copy per step.
 _STACK_ENTRIES = 1 << 16
 
 
@@ -195,9 +198,10 @@ def _irls(a, y, p, x0, s2, live, dposv):
     (T, phases), the trace (steps, T), whose first iterations[t] rows hold
     trial t's objectives, and {trial: LpdecodeError} for the failures; a
     trial that was not live or failed has zero rows.  The stack holds only
-    the live trials: a trial that finishes or fails is gathered out of it
-    (with its rows of a and y, unless one A is shared), and its result is
-    written back at its own index.
+    the live trials: a trial that finishes or fails leaves it, and its
+    result is written back at its own index.  Unless one A is shared, its
+    rows of a and y leave too: the live rows move forward in place, so
+    _irls owns a and y, and the caller must not read them afterwards.
     """
     t_count, n = x0.shape
     ids = np.arange(t_count)  # the caller's index of each row of the stack
@@ -222,7 +226,11 @@ def _irls(a, y, p, x0, s2, live, dposv):
                 v[keep] for v in (ids, x, r, s2, phase, inner)
             )
             if len(a) > 1:  # a stack of restarts shares its one A
-                a, y = a[keep], y[keep]
+                rows = np.flatnonzero(keep)
+                for dst, src in enumerate(rows):  # dst <= src: no live row is lost
+                    if dst < src:
+                        a[dst], y[dst] = a[src], y[src]
+                a, y = a[: len(rows)], y[: len(rows)]
         eps_abs = (_EPS[phase] * s2)[:, None]
         w = (r * r + eps_abs) ** (p / 2 - 1)
         x_new, failed = _solve(a, w, y, dposv)

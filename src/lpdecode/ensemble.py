@@ -80,6 +80,8 @@ class ErrorSpec:
         if self.fixed_signs is not None:
             if not isinstance(self.fixed_signs, dict) or not self.fixed_signs:
                 raise DomainError("fixed_signs must be a non-empty map")
+            for i in self.fixed_signs:  # make_instance checks them against m
+                _require_count("fixed_signs key", i, least=0)
             if any(s not in (-1, 1) for s in self.fixed_signs.values()):
                 raise DomainError("fixed_signs values must be +1 or -1")
 

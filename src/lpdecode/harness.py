@@ -160,30 +160,34 @@ def _stacks(plan: SweepPlan) -> list[tuple[int, int, int]]:
 def _run_stack(plan: SweepPlan, p_index: int, start: int, stop: int):
     """Build and decode trials start..stop at one p as one stack.
 
+    Each trial's A and y go into the stack's arrays once it is built, and
+    only its f and e are kept, so the stack's A is the only unscaled copy.
+
     Returns (outcomes, seconds): per trial, in order, the LpdecodeError it
     raised or (recovered, objective gap), and the stack's wall time.
     """
     t0 = time.perf_counter()
     p = plan.p_values[p_index]
-    outcomes, instances = {}, {}
+    a = np.empty((stop - start, plan.m, plan.n))
+    y = np.empty((stop - start, plan.m))
+    outcomes, truths = {}, {}  # truths: (f, e) of each trial built
     for k in range(start, stop):
         rho_index, trial = divmod(k, plan.trials)
         inst_seed, aux_seed = trial_seeds(plan, p_index, rho_index, trial)
         try:
-            instances[k] = _build_instance(
-                plan, p, plan.rho_values[rho_index], inst_seed, aux_seed
-            )
+            inst = _build_instance(plan, p, plan.rho_values[rho_index], inst_seed, aux_seed)
         except LpdecodeError as exc:
             outcomes[k] = exc
-    if instances:
-        stack = instances.values()
-        decoded = _decode_stack(
-            np.stack([inst.a for inst in stack]), np.stack([inst.y for inst in stack]), p
-        )
-        for (k, inst), result in zip(instances.items(), decoded):
+            continue
+        a[len(truths)], y[len(truths)] = inst.a, inst.y
+        truths[k] = inst.f, inst.e
+        del inst  # the stack's row is now the trial's only A
+    if truths:
+        decoded = _decode_stack(a[: len(truths)], y[: len(truths)], p)
+        for (k, (f, e)), result in zip(truths.items(), decoded):
             outcomes[k] = result if isinstance(result, LpdecodeError) else (
-                apply_decoder_success(result.x_hat, inst.f),
-                result.objective - lp_objective(inst.e, p),
+                apply_decoder_success(result.x_hat, f),
+                result.objective - lp_objective(e, p),
             )
     return [outcomes[k] for k in range(start, stop)], time.perf_counter() - t0
 

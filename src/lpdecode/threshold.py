@@ -40,7 +40,8 @@ class ThresholdPoint:
         _require_p(self.p)
         if not self.z_star > 0:
             raise DomainError(f"z_star must be positive, got {self.z_star}")
-        if not 0 < self.rho_star < 0.5:
+        # the float of rho* ~ 1/2 - 0.404 p is 1/2 itself for p below ~1e-16
+        if not (0 < self.rho_star < 0.5 or self.rho_star == 0.5 and self.p < 1e-15):
             raise DomainError(f"rho_star must lie in (0, 0.5), got {self.rho_star}")
         if self.drho_dp is not None and not self.drho_dp < 0:
             raise DomainError(f"drho_dp must be negative when populated, got {self.drho_dp}")
@@ -89,7 +90,8 @@ def _zstar_at(p: float) -> float:
 
 
 def _rho_at(zs: float) -> float:
-    return math.erfc(zs / math.sqrt(2.0))
+    # below p ~ 1e-16, z* can land one ulp under the median, where erfc exceeds 1/2
+    return min(math.erfc(zs / math.sqrt(2.0)), 0.5)
 
 
 # For p in (0, 1], x = z***2/2 is in [0.23, 0.70]: term k >= 3 is < 0.7**k/k!, 20 miss < 1e-21.
@@ -160,7 +162,8 @@ def _drho_at(p: float, zs: float) -> float:
 
 
 def rho_star(p: float) -> float:
-    """Recovery threshold rho*(p) = P(|X| > z*) = erfc(z* / sqrt(2)); lies in (0, 1/2)."""
+    """Recovery threshold rho*(p) = P(|X| > z*) = erfc(z* / sqrt(2)); lies in
+    (0, 1/2], being 1/2 - 0.404 p for small p, whose float is 1/2 below p ~ 1e-16."""
     return _rho_at(solve_zstar(p))
 
 

@@ -102,6 +102,13 @@ def test_threshold_full_curve_last_row(capsys):
     assert all(a > b for a, b in zip(rhos, rhos[1:]))
 
 
+def test_threshold_at_tiny_p_exits_zero(capsys):
+    # rho* rounds to 1/2 below p ~ 1e-16, which is still a valid p
+    rc, out, err = run(capsys, ["threshold", "--p-min", "1e-16", "--p-max", "1", "--steps", "3"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[1] == "1e-16,0.67448975,0.5,"
+
+
 def test_threshold_derivative_column(capsys):
     rc, out, _ = run(
         capsys,

@@ -230,6 +230,24 @@ def test_decode_scale_equivariance_across_float_range(c):
     )
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(-150, 150),
+    p=st.sampled_from([0.3, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decode_is_scale_equivariant_for_every_power_of_ten(k, p, seed):
+    # y -> c y for c = 10^k scales x_hat by c and every objective by c^p
+    inst = make_instance(40, 4, ErrorSpec(rho=0.2), SeedSpec(seed, 0))
+    c = 10.0**k
+    base = decode(inst.a, inst.y, DecoderConfig(p=p))
+    res = decode(inst.a, c * inst.y, DecoderConfig(p=p))
+    assert np.max(np.abs(res.x_hat / c - base.x_hat)) <= 1e-6
+    assert res.converged == base.converged
+    assert res.objective == pytest.approx(c**p * base.objective, rel=1e-6)
+    assert res.objective_trace[-1] == pytest.approx(c**p * base.objective_trace[-1], rel=1e-6)
+
+
 @pytest.mark.parametrize("d", [1e-170, 1e160])
 def test_decode_matrix_scale_across_float_range(d):
     # the Gram matrix of A squares its scale, so A is rescaled before IRLS

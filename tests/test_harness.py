@@ -1,9 +1,13 @@
 """Monte Carlo sweeps, concentration studies, and the checks of public arguments."""
 
 import logging
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpdecode import (
     ConditionQuery,
@@ -268,6 +272,71 @@ def test_entry_points_reject_seeds_that_are_not_seed_specs(entry, bad):
         with pytest.raises(DomainError, match="seed must be a SeedSpec"):
             call(bad)
     call(SeedSpec(3, 0))
+
+
+def _slots(name, call, **base):
+    """{name.arg: (call, base, arg)} for each argument of a valid call."""
+    return {f"{name}.{arg}": (call, base, arg) for arg in base}
+
+
+_EYE, _ONES = np.eye(3), np.ones(3)
+_SIGNED = {"support": [0, 1, 2], "signs": {0: -1, 1: -1, 2: -1}}
+# Every number and array that a public input type or entry point takes,
+# with a valid call around it; None stands for a field the call may leave
+# out.  Output records (Instance, PhaseCell, DecodeResult) are not inputs,
+# and CurveRequest.with_derivative is a flag, not a number.
+NUMERIC_ARGUMENTS = {
+    **_slots(
+        "ConditionQuery.unsigned", lambda **kw: ConditionQuery(mode="unsigned", **kw),
+        a=_EYE, p=0.5, rho=0.2, z=_ONES, support=None, signs=None,
+    ),
+    **_slots(
+        "ConditionQuery.signed", lambda **kw: ConditionQuery(mode="signed", **kw),
+        a=_EYE, p=0.5, z=_ONES, rho=None, **_SIGNED,
+    ),
+    **_slots("ErrorSpec", ErrorSpec, rho=0.1, fixed_signs={0: 1, 3: -1}),
+    **_slots(
+        "SweepPlan", SweepPlan,
+        m=20, n=2, p_values=(0.5, 1.0), rho_values=(0.1, 0.2), trials=1, master_seed=0,
+    ),
+    **_slots("DecoderConfig", DecoderConfig, p=0.5, restarts=2),
+    **_slots("CurveRequest", CurveRequest, p_min=0.5, p_max=1.0, steps=2),
+    **_slots("SeedSpec", SeedSpec, master_seed=0, stream_id=0),
+    **_slots("decode", lambda a, y: decode(a, y, DecoderConfig(p=0.5)), a=_EYE, y=_ONES),
+    **_slots("unsigned_margin", unsigned_margin, a=_EYE, p=0.5, rho=0.2, z=_ONES),
+    **_slots("signed_margin", signed_margin, a=_EYE, p=0.5, z=_ONES, **_SIGNED),
+    **_slots("attack_arbitrary", attack_arbitrary, a=_EYE, f=_ONES, p=0.5, rho=0.2, z=_ONES),
+    **_slots("attack_fixed_sign", attack_fixed_sign, a=_EYE, f=_ONES, p=0.5, z=_ONES, **_SIGNED),
+}
+
+
+def _place(base, bad, data):
+    """``base`` with ``bad`` at a drawn place: the value itself for a number
+    (or None), one entry of an array, list or tuple, one key or value of a map."""
+    if isinstance(base, dict):
+        i, on_key = data.draw(st.integers(0, len(base) - 1)), data.draw(st.booleans())
+        items = list(base.items())
+        k, v = items[i]
+        items[i] = (bad, v) if on_key else (k, bad)
+        return dict(items)
+    if isinstance(base, (list, tuple)):
+        i = data.draw(st.integers(0, len(base) - 1))
+        return type(base)(bad if j == i else v for j, v in enumerate(base))
+    if isinstance(base, np.ndarray):
+        out = base.copy()
+        out.flat[data.draw(st.integers(0, out.size - 1))] = bad
+        return out
+    return bad
+
+
+@pytest.mark.parametrize("slot", sorted(NUMERIC_ARGUMENTS))
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+def test_public_inputs_refuse_nan_and_inf_anywhere(slot, bad, data):
+    call, base, arg = NUMERIC_ARGUMENTS[slot]
+    call(**base)
+    with pytest.raises(DomainError):
+        call(**{**base, arg: _place(base[arg], bad, data)})
 
 
 def _cells(rates, rhos, p=0.5, trials=100):
@@ -568,6 +637,27 @@ def test_cell_stacks_are_bounded_and_do_not_change_results(monkeypatch):
         stacks.clear()
         assert phase_csv(run_sweep(plan)) == whole
         assert stacks == [(size, p) for p in (0.5, 1.0) for size in per_p]
+
+
+@pytest.mark.parametrize(
+    "m, n, rho_values, trials, block",
+    [(200, 20, (0.1, 0.2, 0.3, 0.4), 5, 10), (300, 100, (0.1,), 2, 2)],
+)
+def test_sweep_stack_holds_its_a_three_times(m, n, rho_values, trials, block):
+    # the stacked A, one scaled copy compacted in place and one weighted copy
+    # per step, and little else: no per-trial copy of A outlives its trial's
+    # build, and finished trials leave the scaled copy without a gather
+    plan = SweepPlan(m=m, n=n, p_values=(0.5,), rho_values=rho_values, trials=trials)
+    (_, start, stop), *_ = harness._stacks(plan)
+    assert stop - start == block
+    harness._run_stack(plan, 0, start, stop)  # loads LAPACK; first-call allocations
+    tracemalloc.start()
+    try:
+        harness._run_stack(plan, 0, start, stop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * block * m * n * 8, peak / (block * m * n * 8)
 
 
 def test_solver_errors_are_counted_per_cell(monkeypatch):

@@ -80,6 +80,24 @@ def test_rho_star_range_over_p():
         assert 0.238 <= val < 0.5
 
 
+def test_rho_star_never_exceeds_one_half_at_tiny_p():
+    # z* comes out one ulp below the half-normal median there, where erfc
+    # gives 0.5000000000000001; below p ~ 7e-17 even the correctly rounded
+    # rho* = 1/2 - 0.404 p is 1/2 itself
+    for k in range(16, 301):
+        assert rho_star(10.0**-k) == 0.5
+    # nothing from p = 1e-15 on moves
+    assert rho_star(1e-15) == 0.4999999999999997
+    assert rho_star(1e-14) == 0.4999999999999961
+    assert rho_star(1e-3) == 0.4995958026324887
+
+
+def test_curve_reaches_one_half_at_tiny_p():
+    points = curve(CurveRequest(p_min=1e-16, p_max=1.0, steps=3, with_derivative=True))
+    assert points[0].rho_star == 0.5
+    assert points[0].drho_dp < 0
+
+
 @pytest.mark.parametrize("p,expected", sorted(DRHO_FROZEN.items()))
 def test_drho_dp_frozen_values(p, expected):
     np.testing.assert_allclose(drho_dp(p), expected, atol=5e-6)
@@ -220,6 +238,10 @@ def test_threshold_point_validation():
         ThresholdPoint(p=0.5, z_star=-1.0, rho_star=0.3)
     with pytest.raises(DomainError):
         ThresholdPoint(p=0.5, z_star=1.0, rho_star=0.3, drho_dp=0.1)
+    # rho* rounds to 1/2 only for p below about 1e-16
+    ThresholdPoint(p=1e-300, z_star=0.6744897501960816, rho_star=0.5)
+    with pytest.raises(DomainError):
+        ThresholdPoint(p=1e-15, z_star=0.6744897501960816, rho_star=0.5)
 
 
 def test_mc_oracle_golden_p1():
