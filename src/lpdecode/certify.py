@@ -40,7 +40,7 @@ import numpy as np
 from .ensemble import SeedSpec, _require_seed, ceil_count
 from .decoder import _norms
 from .errors import DomainError, NumericError, _require_count, _require_finite, _require_in
-from .errors import _require_indices, _require_matrix, _require_p, _require_rho
+from .errors import _require_indices, _require_matrix, _require_p, _require_rho, _require_type
 
 _SEARCH_STEPS = 500
 _STEP_SCALE = 0.3
@@ -259,6 +259,7 @@ def search_violation(
     evidence, since the search is not exhaustive.  NumericError when no
     margin was below +inf (A z overflowed everywhere).
     """
+    _require_type("q", q, ConditionQuery)
     _require_count("restarts", restarts)
     gen = _require_seed(seed, SeedSpec(0, 0)).generator()
     m, n = q.a.shape
@@ -297,6 +298,7 @@ def brute_force_min_margin(
     violation.  Grid cost grows like (2 pi / resolution)^(n-1), so larger
     n is refused.
     """
+    _require_type("q", q, ConditionQuery)
     n = q.a.shape[1]
     if n > 3:
         raise DomainError("brute-force sphere search supports n <= 3 only")

@@ -111,14 +111,12 @@ def _cmd_threshold(args) -> str:
 def _cmd_decode(args) -> str:
     if args.instance is not None:
         inst = read_instance(args.instance)
-        seed = args.seed if args.seed is not None else 0
     else:
         if args.m is None or args.n is None or args.rho is None:
             raise _UsageError("decode needs either --instance or all of --m/--n/--rho")
         seed = _resolve_seed(args)
         inst = make_instance(args.m, args.n, ErrorSpec(rho=args.rho), SeedSpec(seed, 0))
-    cfg = DecoderConfig(p=args.p, restarts=args.restarts)
-    result = decode(inst.a, inst.y, cfg, seed=SeedSpec(seed, 1))
+    result = decode(inst.a, inst.y, DecoderConfig(p=args.p))
     return _json_report(
         {
             "p": args.p,
@@ -269,8 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--rho", type=float)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="seeds the generated instance")
     p.set_defaults(handler=_cmd_decode)
 
     p = add(

@@ -14,18 +14,17 @@ across the whole float range.
 
 One kernel, ``_irls``, runs IRLS on a stack of trials at once and returns
 arrays; ``_decode_stack`` scales each trial, starts it, and builds every
-result, or the error of a run that failed, in one loop.  The restarts of
-``decode`` share one A, and a sweep stacks the A of the trials at one p.
-Either way IRLS runs a bounded number of entries of A at a time, so
-memory does not grow with the restarts or trials.  A block holds its A
-three times at most: the stacked A it was given, one scaled copy, and one
-weighted copy per step.  Every step is one batched Gram product and
-residual over the live trials, then one LAPACK Cholesky solve per trial; a
-trial that finishes or fails leaves the stack, its rows of the scaled copy
-compacted in place, so no step is spent on it, and every trial's result is
-bit-identical to a run on its own.  That solve is LAPACK's dposv from
-SciPy's compiled ``_flapack`` extension, loaded on the first decode and on
-its own: no ``scipy`` package module is ever imported.
+result, or the error of a run that failed, in one loop.  ``decode`` passes
+one trial; a sweep passes the trials at one p, in the bounded stacks of
+``harness._stacks``.  A stack holds its A three times at most: the stacked
+A it was given, one scaled copy, and one weighted copy per step.  Every
+step is one batched Gram product and residual over the live trials, then
+one LAPACK Cholesky solve per trial; a trial that finishes or fails leaves
+the stack, its rows of the scaled copy compacted in place, so no step is
+spent on it, and every trial's result is bit-identical to a run on its own.
+That solve is LAPACK's dposv from SciPy's compiled ``_flapack`` extension,
+loaded on the first decode and on its own: no ``scipy`` package module is
+ever imported.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import SeedSpec, _require_seed
 from .errors import LpdecodeError, NumericError, SingularityError, _as_floats
-from .errors import _require_count, _require_finite, _require_matrix, _require_p
+from .errors import _require_finite, _require_matrix, _require_p, _require_type
 
 
 _EPS_MIN = 1e-8
@@ -56,40 +54,24 @@ _EPS = np.array(_EPS)
 _MAX_INNER = 100
 _INNER_TOL = 1e-10
 _PIVOT_RATIO_MIN = math.sqrt(np.finfo(float).eps)
-# IRLS runs a stack of trials or restarts in blocks of at most this many
-# entries of A (always at least one run), so memory does not grow with
-# their number: a block holds its A, one scaled copy that IRLS compacts
-# in place, and one weighted copy per step.
-_STACK_ENTRIES = 1 << 16
-
-
-def _blocks(count: int, entries: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest balanced blocks that split ``count`` runs
-    of ``entries`` entries of A each into at most _STACK_ENTRIES entries
-    (at least one run each), in order."""
-    size = max(1, _STACK_ENTRIES // entries)
-    blocks = -(-count // size)
-    return [(count * b // blocks, count * (b + 1) // blocks) for b in range(blocks)]
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """The lp exponent and the number of IRLS restarts.  The rest is fixed:
-    every run takes the same ten eps phases of at most 100 inner iterations
-    each, nine decades from 1 to 1.0000000000000005e-08 and then exactly
-    1e-8 (see ``_EPS``)."""
+    """The lp exponent.  The rest is fixed: every run starts from the
+    unweighted least-squares fit and takes the same ten eps phases of at
+    most 100 inner iterations each, nine decades from 1 to
+    1.0000000000000005e-08 and then exactly 1e-8 (see ``_EPS``)."""
 
     p: float
-    restarts: int = 1
 
     def __post_init__(self):
         _require_p(self.p)
-        _require_count("restarts", self.restarts)
 
 
 @dataclass(eq=False)
 class DecodeResult:
-    """Decoder output for the best restart.
+    """Decoder output.
 
     ``objective_trace`` holds the smoothed surrogate value after every inner
     solve; ``phase_starts`` marks where each eps phase begins in that trace.
@@ -140,10 +122,10 @@ def _dposv():
 def _solve(a, w, y, dposv):
     """One weighted least-squares solve per trial of a stack.
 
-    a is (T, m, n) or (1, m, n), w is (T, m) and y is (T, m) or (1, m);
-    dposv is ``_dposv()``, looked up once per stack rather than per step.
-    Returns x of shape (T, n), with zero rows for the trials that fail, and
-    a dict {trial: SingularityError} for the failures.
+    a is (T, m, n), w is (T, m) and y is (T, m); dposv is ``_dposv()``,
+    looked up once per stack rather than per step.  Returns x of shape
+    (T, n), with zero rows for the trials that fail, and a dict
+    {trial: SingularityError} for the failures.
 
     The Gram matrices A^T W A and right-hand sides A^T W y of the whole
     stack are two batched products; each trial is then solved by one
@@ -191,17 +173,17 @@ def _irls(a, y, p, x0, s2, live, dposv):
     """IRLS from each row of x0 on a stack of trials: the phases of _EPS
     around the inner reweighted loop, per trial.
 
-    a is (T, m, n) or (1, m, n), y is (T, m) or (1, m), x0 is (T, n), s2
-    (T,) is the squared measurement scale of each trial, live (T,) marks
-    the trials to run and dposv is handed to every ``_solve``.  Returns
-    per-trial x (T, n), iterations (T,), converged (T,) and phase_starts
-    (T, phases), the trace (steps, T), whose first iterations[t] rows hold
-    trial t's objectives, and {trial: LpdecodeError} for the failures; a
-    trial that was not live or failed has zero rows.  The stack holds only
+    a is (T, m, n), y is (T, m), x0 is (T, n), s2 (T,) is the squared
+    measurement scale of each trial, live (T,) marks the trials to run and
+    dposv is handed to every ``_solve``.  Returns per-trial x (T, n),
+    iterations (T,), converged (T,) and phase_starts (T, phases), the trace
+    (steps, T), whose first iterations[t] rows hold trial t's objectives,
+    and {trial: LpdecodeError} for the failures; a trial that was not live
+    or failed has zero rows.  The stack holds only
     the live trials: a trial that finishes or fails leaves it, and its
-    result is written back at its own index.  Unless one A is shared, its
-    rows of a and y leave too: the live rows move forward in place, so
-    _irls owns a and y, and the caller must not read them afterwards.
+    result is written back at its own index.  Its rows of a and y leave
+    too: the live rows move forward in place, so _irls owns a and y, and
+    the caller must not read them afterwards.
     """
     t_count, n = x0.shape
     ids = np.arange(t_count)  # the caller's index of each row of the stack
@@ -225,12 +207,11 @@ def _irls(a, y, p, x0, s2, live, dposv):
             ids, x, r, s2, phase, inner = (
                 v[keep] for v in (ids, x, r, s2, phase, inner)
             )
-            if len(a) > 1:  # a stack of restarts shares its one A
-                rows = np.flatnonzero(keep)
-                for dst, src in enumerate(rows):  # dst <= src: no live row is lost
-                    if dst < src:
-                        a[dst], y[dst] = a[src], y[src]
-                a, y = a[: len(rows)], y[: len(rows)]
+            rows = np.flatnonzero(keep)
+            for dst, src in enumerate(rows):  # dst <= src: no live row is lost
+                if dst < src:
+                    a[dst], y[dst] = a[src], y[src]
+            a, y = a[: len(rows)], y[: len(rows)]
         eps_abs = (_EPS[phase] * s2)[:, None]
         w = (r * r + eps_abs) ** (p / 2 - 1)
         x_new, failed = _solve(a, w, y, dposv)
@@ -276,81 +257,54 @@ def _scale(a, y):
     return np.ldexp(a, -ea[:, None, None]), ys, ea, ey, np.mean(ys * ys, axis=1)
 
 
-def decode(
-    a: np.ndarray,
-    y: np.ndarray,
-    cfg: DecoderConfig,
-    seed: SeedSpec | None = None,
-) -> DecodeResult:
-    """Decode y against A, returning the best of ``cfg.restarts`` IRLS runs.
-
-    Restart 0 starts from the unweighted least-squares fit; later restarts
-    perturb it with seeded Gaussian noise at a tenth of its norm.  The seed
-    defaults to SeedSpec(0, 0) and only matters when restarts > 1.  The
-    restarts share A and run in blocks of at most 2**16 entries of it, so
-    memory stays bounded however many there are.
-    """
+def decode(a: np.ndarray, y: np.ndarray, cfg: DecoderConfig) -> DecodeResult:
+    """Decode y against A by one IRLS run from the unweighted least-squares fit."""
     a = _require_matrix(a)
     y = _require_finite("y", y, a.shape[:1])
-    seed = _require_seed(seed, SeedSpec(0, 0))
-
-    runs = _decode_stack(a[None], y[None], cfg.p, cfg.restarts, seed)
-    for run in runs:
-        if isinstance(run, LpdecodeError):
-            raise run
-    return min(runs, key=lambda res: res.objective)
+    _require_type("cfg", cfg, DecoderConfig)
+    (run,) = _decode_stack(a[None], y[None], cfg.p)
+    if isinstance(run, LpdecodeError):
+        raise run
+    return run
 
 
-def _decode_stack(a, y, p, restarts=1, seed=None):
+def _decode_stack(a, y, p):
     """Decode a stack of finite trials, a (T, m, n) and y (T, m), as one
-    batched IRLS: one run per trial, or, for a single trial, one run per
-    restart, started as ``decode`` describes from the SeedSpec ``seed``.
-    The runs go through IRLS in the blocks of ``_blocks``.  Returns, in run
-    order, one DecodeResult per run (x = 0 for a zero y, else scaled back
-    to the original A and y), or the LpdecodeError that run raised; a run
-    that fails leaves the others' results unchanged."""
+    batched IRLS run per trial.  Returns, in trial order, one DecodeResult
+    per trial (x = 0 for a zero y, else scaled back to the original A and
+    y), or the LpdecodeError that trial raised; a trial that fails leaves
+    the others' results unchanged."""
     t_count, m, n = a.shape
     as_, ys, ea, ey, s2 = _scale(a, y)
     dposv = _dposv()
     x0, failed = _solve(as_, np.ones((t_count, m)), ys, dposv)
-    src = np.arange(t_count)
-    if restarts > 1:
-        gen = seed.generator()
-        scale = 0.1 * np.linalg.norm(x0[0]) / math.sqrt(n)
-        x0 = np.array(
-            [x0[0]] + [x0[0] + gen.standard_normal(n) * scale for _ in range(restarts - 1)]
-        )
-        src = np.zeros(restarts, dtype=np.int64)
-    # A zero y or a failed first solve keeps its runs out of the stack.
+    # A zero y or a failed first solve keeps its trial out of the stack.
     runnable = s2 > 0
     runnable[list(failed)] = False
+    xs, iterations, converged, phase_starts, trace, errors = _irls(
+        as_, ys, p, x0, s2, runnable, dposv
+    )
     out = []
-    for i, j in _blocks(len(src), m * n):
-        # restarts share the one A and y; trials bring their own
-        a_b, y_b = (as_, ys) if restarts > 1 else (as_[i:j], ys[i:j])
-        xs, iterations, converged, phase_starts, trace, errors = _irls(
-            a_b, y_b, p, x0[i:j], s2[src[i:j]], runnable[src[i:j]], dposv
-        )
-        # an x past the float range scales back to inf, and its objective
-        # to inf or NaN, which the check below reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = np.ldexp(xs, (ey - ea)[src[i:j], None])
-            for b, t in enumerate(src[i:j]):
-                if s2[t] == 0.0:
-                    out.append(DecodeResult(np.zeros(n), 0.0, [], 0, True, []))
-                    continue
-                error = failed.get(t) or errors.get(b)
-                obj = math.nan if error else lp_objective(y[t] - a[t] @ x[b], p)
-                if error or not math.isfinite(obj):
-                    out.append(error or NumericError("objective became non-finite"))
-                    continue
-                k = int(iterations[b])
-                out.append(DecodeResult(
-                    x_hat=x[b],
-                    objective=obj,
-                    objective_trace=(trace[:k, b] * np.exp2(ey[t] * p)).tolist(),
-                    iterations=k,
-                    converged=bool(converged[b]),
-                    phase_starts=phase_starts[b].tolist(),
-                ))
+    # an x past the float range scales back to inf, and its objective to
+    # inf or NaN, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.ldexp(xs, (ey - ea)[:, None])
+        for t in range(t_count):
+            if s2[t] == 0.0:
+                out.append(DecodeResult(np.zeros(n), 0.0, [], 0, True, []))
+                continue
+            error = failed.get(t) or errors.get(t)
+            obj = math.nan if error else lp_objective(y[t] - a[t] @ x[t], p)
+            if error or not math.isfinite(obj):
+                out.append(error or NumericError("objective became non-finite"))
+                continue
+            k = int(iterations[t])
+            out.append(DecodeResult(
+                x_hat=x[t],
+                objective=obj,
+                objective_trace=(trace[:k, t] * np.exp2(ey[t] * p)).tolist(),
+                iterations=k,
+                converged=bool(converged[t]),
+                phase_starts=phase_starts[t].tolist(),
+            ))
     return out

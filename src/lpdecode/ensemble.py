@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, _as_floats, _require_count, _require_finite, _require_in
 from .errors import _require_indices, _require_int, _require_matrix, _require_rho, _require_shape
+from .errors import _require_type
 from .seeding import generator_from
 
 # Guard against 0.29*100 = 28.999999999999996-style float droop in k = floor(rho*m).
@@ -57,9 +58,7 @@ def _require_seed(seed, default: SeedSpec | None = None) -> SeedSpec:
     DomainError unless that is a SeedSpec."""
     if seed is None and default is not None:
         return default
-    if not isinstance(seed, SeedSpec):
-        raise DomainError(f"seed must be a SeedSpec, got {seed!r}")
-    return seed
+    return _require_type("seed", seed, SeedSpec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +159,7 @@ def make_instance(m: int, n: int, spec: ErrorSpec, seed: SeedSpec) -> Instance:
     magnitudes, signs (arbitrary errors only).
     """
     _require_shape(m, n)
+    _require_type("spec", spec, ErrorSpec)
     gen = _require_seed(seed).generator()
     a = gen.standard_normal((m, n))
     f = gen.standard_normal(n)

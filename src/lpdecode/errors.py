@@ -29,6 +29,14 @@ def _require_int(name: str, value) -> None:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _require_type(name: str, value, cls: type):
+    """``value``; DomainError unless it is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__}, got {value!r}")
+    return value
+
+
 def _require_count(name: str, value, least: int = 1) -> None:
     """Raise DomainError unless ``value`` is an integer >= ``least``."""
     _require_int(name, value)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import attack_arbitrary
-from .decoder import _blocks, _decode_stack, _dposv, lp_objective
+from .decoder import _decode_stack, _dposv, lp_objective
 from .ensemble import (
     ErrorSpec,
     Instance,
@@ -26,13 +26,18 @@ from .ensemble import (
     make_instance,
 )
 from .errors import DomainError, LpdecodeError, _require_count, _require_int, _require_p
-from .errors import _require_rho, _require_shape
+from .errors import _require_rho, _require_shape, _require_type
 from .halfnormal import mu
 from .seeding import mix64
 
 log = logging.getLogger(__name__)
 
 _REGIMES = ("arbitrary", "fixed_sign", "adversarial")
+# A sweep decodes its trials in stacks of at most this many entries of A
+# (always at least one trial), so memory does not grow with their number:
+# a stack holds its A, one scaled copy that IRLS compacts in place, and one
+# weighted copy per step.
+_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,12 +150,22 @@ def _build_instance(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed) 
     return make_instance(m, n, ErrorSpec(rho=rho), inst_seed)
 
 
+def _blocks(count: int, entries: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest balanced blocks that split ``count`` trials
+    of ``entries`` entries of A each into at most _STACK_ENTRIES entries
+    (at least one trial each), in order."""
+    size = max(1, _STACK_ENTRIES // entries)
+    blocks = -(-count // size)
+    return [(count * b // blocks, count * (b + 1) // blocks) for b in range(blocks)]
+
+
 def _stacks(plan: SweepPlan) -> list[tuple[int, int, int]]:
     """(p index, start, stop) of each stack a sweep decodes, in grid order.
 
     The trials at one p, rho-major and in trial order, are split into the
-    decoder's bounded blocks, so a sweep's memory does not grow with the
-    number of trials; a stack never mixes p values, so p stays one scalar.
+    bounded blocks of ``_blocks``, so a sweep's memory does not grow with
+    the number of trials; a stack never mixes p values, so p stays one
+    scalar.
     """
     per_p = len(plan.rho_values) * plan.trials
     blocks = _blocks(per_p, plan.m * plan.n)
@@ -221,6 +236,7 @@ def run_sweep(plan: SweepPlan, jobs: int = 1) -> list[PhaseCell]:
     """Run every (p, rho) cell, in grid order; results are identical for
     any ``jobs`` >= 1, which run the stacks of ``_stacks`` across processes
     (never more processes than stacks)."""
+    _require_type("plan", plan, SweepPlan)
     _require_count("jobs", jobs)
     stacks = _stacks(plan)
     workers = min(jobs, len(stacks))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, _require_count, _require_int, _require_p
+from .errors import _require_type
 from .seeding import generator_from
 
 
@@ -186,6 +187,7 @@ def curve(req: CurveRequest) -> list[ThresholdPoint]:
     p = 0 is never sampled: the curve is defined for p > 0 only, and the
     limit value 1/2 is an annotation, not a data point.
     """
+    _require_type("req", req, CurveRequest)
     points = []
     for p in req.p_values():
         zs = _zstar_at(p)

@@ -196,6 +196,15 @@ def test_decode_from_fixture(capsys, tmp_path):
     assert payload["rho"] == pytest.approx(0.2)
 
 
+def test_decode_from_fixture_ignores_seed(capsys, tmp_path):
+    # --seed only seeds a generated instance; a fixture's decode reads none
+    write_instance(make_instance(40, 4, ErrorSpec(rho=0.3), SeedSpec(17, 0)), tmp_path / "inst")
+    argv = ["decode", "--p", "0.5", "--instance", str(tmp_path / "inst")]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert run(capsys, argv + ["--seed", "5"]) == (0, out, "")
+
+
 def test_decode_domain_error_exits_two(capsys):
     rc, _, err = run(
         capsys,
@@ -560,7 +569,7 @@ _M, _N = ["12", "40"], ["1", "4"]
 CLI_VALUES = {
     "threshold": {"--p-min": ["0.25", "1"], "--p-max": ["0.5", "1"], "--steps": ["1", "5"]},
     "decode": {"--p": ["0.5", "1"], "--m": _M, "--n": _N, "--rho": ["0.1", "0.3"],
-               "--restarts": ["1", "2"], "--seed": _SEEDS},
+               "--seed": _SEEDS},
     "phase": {"--m": _M, "--n": _N, "--p": ["0.5", "0.5:1:0.5"], "--rho": ["0.1", "0:0.2:0.1"],
               "--trials": ["1", "2"], "--regime": ["arbitrary", "fixed_sign", "adversarial"],
               "--jobs": ["1"], "--seed": _SEEDS},
@@ -612,6 +621,13 @@ REMOVED_FLAGS = {
         "--success-tol",
         ["decode", "--p", "0.5", "--m", "20", "--n", "2", "--rho", "0.1", "--seed", "0",
          "--success-tol", "1e-3"],
+    ),
+    # every decode is one IRLS run: restarts from perturbed starts changed
+    # no recovery
+    "decode-restarts": (
+        "--restarts",
+        ["decode", "--p", "0.5", "--m", "20", "--n", "2", "--rho", "0.1", "--seed", "0",
+         "--restarts", "2"],
     ),
 }
 

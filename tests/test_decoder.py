@@ -1,8 +1,8 @@
 """IRLS decoder and its weighted least-squares kernel."""
 
+import dataclasses
 import importlib.util
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +20,7 @@ from lpdecode import (
     SeedSpec,
     SingularityError,
     SweepPlan,
+    apply_decoder_success,
     decode,
     lp_objective,
     make_instance,
@@ -28,6 +29,8 @@ from lpdecode import (
 from lpdecode import decoder
 from lpdecode.decoder import _decode_stack
 from lpdecode.harness import _build_instance
+
+from certify_oracle import exact_lp_decode, l1_decode
 
 
 def test_lp_objective_zero_vector():
@@ -259,28 +262,11 @@ def test_decode_matrix_scale_across_float_range(d):
 
 def test_decode_zero_measurements():
     a = np.random.default_rng(0).standard_normal((10, 3))
-    for restarts in (1, 3):
-        res = decode(a, np.zeros(10), DecoderConfig(p=0.5, restarts=restarts))
-        np.testing.assert_array_equal(res.x_hat, np.zeros(3))
-        assert res.converged
-        assert res.objective == 0.0
-        assert res.iterations == 0
-
-
-def test_decode_deterministic_with_restarts():
-    inst = make_instance(50, 5, ErrorSpec(rho=0.25), SeedSpec(71, 0))
-    cfg = DecoderConfig(p=0.4, restarts=3)
-    r1 = decode(inst.a, inst.y, cfg, seed=SeedSpec(5, 0))
-    r2 = decode(inst.a, inst.y, cfg, seed=SeedSpec(5, 0))
-    np.testing.assert_array_equal(r1.x_hat, r2.x_hat)
-    assert r1.objective == r2.objective
-
-
-def test_decode_restarts_never_worse():
-    inst = make_instance(50, 5, ErrorSpec(rho=0.3), SeedSpec(81, 0))
-    single = decode(inst.a, inst.y, DecoderConfig(p=0.4))
-    multi = decode(inst.a, inst.y, DecoderConfig(p=0.4, restarts=4), seed=SeedSpec(2, 0))
-    assert multi.objective <= single.objective + 1e-12
+    res = decode(a, np.zeros(10), DecoderConfig(p=0.5))
+    np.testing.assert_array_equal(res.x_hat, np.zeros(3))
+    assert res.converged
+    assert res.objective == 0.0
+    assert res.iterations == 0
 
 
 def test_decode_validates_inputs():
@@ -298,8 +284,8 @@ def test_decoder_config_validation():
         DecoderConfig(p=0.0)
     with pytest.raises(DomainError):
         DecoderConfig(p=1.5)
-    with pytest.raises(DomainError):
-        DecoderConfig(p=0.5, restarts=0)
+    # p is the only setting: every decode is one IRLS run
+    assert [f.name for f in dataclasses.fields(DecoderConfig)] == ["p"]
 
 
 def _reference_wls(a, y, w):
@@ -308,50 +294,41 @@ def _reference_wls(a, y, w):
     return cho_solve(factor, aw.T @ y, check_finite=False)
 
 
-def _reference_decode(a, y, p, restarts=1, seed=None):
-    """The unbatched decoder: each restart runs its own IRLS loop, one
-    Cholesky factorisation and solve per iteration.  The batched kernel does
-    the same arithmetic, so its results must equal these bit for bit."""
+def _reference_decode(a, y, p):
+    """The unbatched decoder: one IRLS loop, one Cholesky factorisation and
+    solve per iteration.  The batched kernel does the same arithmetic, so
+    its results must equal these bit for bit."""
     ey = math.frexp(float(np.max(np.abs(y))))[1]
     ea = math.frexp(float(np.max(np.abs(a))))[1]
     ys, as_ = np.ldexp(y, -ey), np.ldexp(a, -ea)
     s2 = float(np.mean(ys * ys))
-    m, n = a.shape
-    x0 = _reference_wls(as_, ys, np.ones(m))
-    gen = (seed or SeedSpec(0, 0)).generator()
-    best = None
-    for k in range(restarts):
-        x = x0
-        if k:
-            x = x0 + gen.standard_normal(n) * (0.1 * np.linalg.norm(x0) / math.sqrt(n))
-        trace, starts, eps, converged = [], [], 1.0, False
-        r = ys - as_ @ x
-        while True:
-            starts.append(len(trace))
-            settled = False
-            for _ in range(100):
-                w = (r * r + eps * s2) ** (p / 2 - 1)
-                x_new = _reference_wls(as_, ys, w)
-                r_new = ys - as_ @ x_new
-                trace.append(float(np.sum((r_new * r_new + eps * s2) ** (p / 2))))
-                denom = max(np.linalg.norm(x), np.linalg.norm(x_new))
-                step = np.linalg.norm(x_new - x) / denom if denom > 0 else 0.0
-                x, r = x_new, r_new
-                if step <= 1e-10:
-                    settled = True
-                    break
-            if eps <= 1e-8:
-                converged = settled
+    x = _reference_wls(as_, ys, np.ones(a.shape[0]))
+    trace, starts, eps, converged = [], [], 1.0, False
+    r = ys - as_ @ x
+    while True:
+        starts.append(len(trace))
+        settled = False
+        for _ in range(100):
+            w = (r * r + eps * s2) ** (p / 2 - 1)
+            x_new = _reference_wls(as_, ys, w)
+            r_new = ys - as_ @ x_new
+            trace.append(float(np.sum((r_new * r_new + eps * s2) ** (p / 2))))
+            denom = max(np.linalg.norm(x), np.linalg.norm(x_new))
+            step = np.linalg.norm(x_new - x) / denom if denom > 0 else 0.0
+            x, r = x_new, r_new
+            if step <= 1e-10:
+                settled = True
                 break
-            if len(starts) >= 12:
-                break
-            eps = max(eps * 0.1, 1e-8)
-        x = np.ldexp(x, ey - ea)
-        obj = lp_objective(y - a @ x, p)
-        if best is None or obj < best[1]:
-            scale = float(np.exp2(ey * p))
-            best = (x.tobytes(), obj, [t * scale for t in trace], len(trace), converged, starts)
-    return best
+        if eps <= 1e-8:
+            converged = settled
+            break
+        if len(starts) >= 12:
+            break
+        eps = max(eps * 0.1, 1e-8)
+    x = np.ldexp(x, ey - ea)
+    scale = float(np.exp2(ey * p))
+    return (x.tobytes(), lp_objective(y - a @ x, p), [t * scale for t in trace], len(trace),
+            converged, starts)
 
 
 def _key(res):
@@ -408,41 +385,6 @@ def test_batched_kernel_is_batch_invariant(trials, p, seed):
         assert _key(single) == _key(decode(a[t], y[t], DecoderConfig(p=p)))
 
 
-def test_decode_restarts_are_the_best_single_run():
-    # the three restarts run as one stack that shares A; the result must be
-    # the best of the three run one at a time
-    inst = make_instance(50, 5, ErrorSpec(rho=0.3), SeedSpec(81, 0))
-    for p in (0.4, 1.0):
-        res = decode(inst.a, inst.y, DecoderConfig(p=p, restarts=3), seed=SeedSpec(2, 0))
-        ref = _reference_decode(inst.a, inst.y, p, restarts=3, seed=SeedSpec(2, 0))
-        assert _key(res) == ref
-
-
-def test_decode_restarts_in_blocks_are_the_best_single_run(monkeypatch):
-    # room for two restarts per block: the five run as blocks of 1, 2 and 2,
-    # and the starts are drawn in the same order as for one block
-    monkeypatch.setattr(decoder, "_STACK_ENTRIES", 2 * 50 * 5)
-    inst = make_instance(50, 5, ErrorSpec(rho=0.3), SeedSpec(81, 0))
-    res = decode(inst.a, inst.y, DecoderConfig(p=0.4, restarts=5), seed=SeedSpec(2, 0))
-    ref = _reference_decode(inst.a, inst.y, 0.4, restarts=5, seed=SeedSpec(2, 0))
-    assert _key(res) == ref
-
-
-def test_decode_memory_does_not_grow_with_restarts():
-    # 16 restarts of a 200x20 A fill one block; 64 run as four such blocks
-    inst = make_instance(200, 20, ErrorSpec(rho=0.2), SeedSpec(1, 0))
-    decode(inst.a, inst.y, DecoderConfig(p=0.5, restarts=2))  # load LAPACK first
-    peaks = {}
-    for restarts in (16, 64):
-        tracemalloc.start()
-        try:
-            decode(inst.a, inst.y, DecoderConfig(p=0.5, restarts=restarts))
-            peaks[restarts] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peaks[64] <= 1.5 * peaks[16], peaks
-
-
 def test_singular_trial_fails_alone():
     # trial 2 is singular and trial 1 has y = 0: neither enters the IRLS
     # stack, and every trial gets what decode gives it on its own
@@ -454,9 +396,8 @@ def test_singular_trial_fails_alone():
     assert stacked[1].iterations == 0 and not stacked[1].x_hat.any()
     for t in (0, 1, 3):
         assert _key(stacked[t]) == _key(decode(a[t], y[t], DecoderConfig(p=0.5)))
-    for restarts in (1, 3):
-        with pytest.raises(SingularityError):
-            decode(a[2], y[2], DecoderConfig(p=0.5, restarts=restarts))
+    with pytest.raises(SingularityError):
+        decode(a[2], y[2], DecoderConfig(p=0.5))
 
 
 def _overflowing_trial():
@@ -513,3 +454,31 @@ def test_finished_trials_leave_the_stack(monkeypatch):
     assert sum(rows) == 6 + sum(runs)
     for t in (0, 1, 3, 4, 5):
         assert _key(stacked[t]) == _key(decode(a[t], y[t], DecoderConfig(p=0.5)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_lp_oracle_is_l1_decoding_at_p1(seed):
+    # rho 0.5 at 30 x 3: at seed 2 the l1 minimiser is not f
+    inst = make_instance(30, 3, ErrorSpec(rho=0.5), SeedSpec(seed, 0))
+    x = exact_lp_decode(inst.a, inst.y, 1.0)
+    np.testing.assert_allclose(x, l1_decode(inst.a, inst.y), rtol=0, atol=1e-12)
+
+
+def test_decode_recovers_only_what_lp_decoding_recovers():
+    # the exact lp minimiser at 30 x 3 decides which trials lp decoding
+    # recovers; IRLS is a local solver, so it may miss some of them, but a
+    # trial it recovers must be one lp decoding recovers
+    exact, irls = [], []
+    for regime in ("arbitrary", "fixed_sign"):
+        for p in (0.3, 0.5, 0.9):
+            plan = SweepPlan(m=30, n=3, p_values=(p,), rho_values=(0.4, 0.5, 0.6, 0.7),
+                             trials=5, error_regime=regime, master_seed=21)
+            for r, rho in enumerate(plan.rho_values):
+                for t in range(plan.trials):
+                    inst = _build_instance(plan, p, rho, *trial_seeds(plan, 0, r, t))
+                    x = exact_lp_decode(inst.a, inst.y, p)
+                    exact.append(apply_decoder_success(x, inst.f))
+                    x = decode(inst.a, inst.y, DecoderConfig(p=p)).x_hat
+                    irls.append(apply_decoder_success(x, inst.f))
+    assert any(irls) and not all(exact)
+    assert all(e for e, i in zip(exact, irls) if i)

@@ -24,6 +24,7 @@ from lpdecode import (
     attack_fixed_sign,
     brute_force_min_margin,
     concentration_study,
+    curve,
     decode,
     gaussian_matrix,
     lp_objective,
@@ -38,11 +39,10 @@ from lpdecode import (
     trial_seeds,
     unsigned_margin,
 )
-from lpdecode import decoder, harness
+from lpdecode import harness
 from lpdecode.ensemble import draw_support_signs
 
 INTEGER_FIELDS = {
-    "restarts": lambda v: DecoderConfig(p=0.5, restarts=v),
     "m": lambda v: SweepPlan(m=v, n=2, p_values=(0.5,), rho_values=(0.1,), trials=1),
     "n": lambda v: SweepPlan(m=20, n=v, p_values=(0.5,), rho_values=(0.1,), trials=1),
     "trials": lambda v: SweepPlan(m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=v),
@@ -244,13 +244,6 @@ SEED_ENTRY_POINTS = {
     "gaussian_matrix": (lambda v: gaussian_matrix(20, 2, v), False),
     "draw_support_signs": (lambda v: draw_support_signs(20, 0.1, v), False),
     "make_instance": (lambda v: make_instance(20, 2, ErrorSpec(rho=0.1), v), False),
-    "decode": (
-        lambda v: decode(
-            np.vstack([np.eye(2), np.ones((2, 2))]), np.ones(4),
-            DecoderConfig(p=0.5, restarts=2), seed=v,
-        ),
-        True,
-    ),
     "search_violation": (
         lambda v: search_violation(
             ConditionQuery(a=np.eye(3), p=0.5, mode="unsigned", rho=0.2), restarts=2, seed=v
@@ -272,6 +265,27 @@ def test_entry_points_reject_seeds_that_are_not_seed_specs(entry, bad):
         with pytest.raises(DomainError, match="seed must be a SeedSpec"):
             call(bad)
     call(SeedSpec(3, 0))
+
+
+_QUERY = ConditionQuery(a=np.eye(3), p=0.5, mode="unsigned", rho=0.2)
+# entry point -> (call with its spec argument set to v, a valid spec)
+SPEC_ENTRY_POINTS = {
+    "decode": (lambda v: decode(np.eye(2), np.ones(2), v), DecoderConfig(p=0.5)),
+    "run_sweep": (run_sweep, SweepPlan(m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=1)),
+    "curve": (curve, CurveRequest(p_min=0.5, p_max=1.0, steps=2)),
+    "search_violation": (lambda v: search_violation(v, restarts=1), _QUERY),
+    "brute_force_min_margin": (lambda v: brute_force_min_margin(v, 0.5), _QUERY),
+    "make_instance": (lambda v: make_instance(20, 2, v, SeedSpec(0, 0)), ErrorSpec(rho=0.1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SPEC_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", [0.5, "q", None, np.eye(3)], ids=["float", "str", "None", "array"])
+def test_entry_points_reject_specs_of_the_wrong_type(entry, bad):
+    call, valid = SPEC_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=f"must be an? {type(valid).__name__}, got"):
+        call(bad)
+    call(valid)
 
 
 def _slots(name, call, **base):
@@ -299,7 +313,7 @@ NUMERIC_ARGUMENTS = {
         "SweepPlan", SweepPlan,
         m=20, n=2, p_values=(0.5, 1.0), rho_values=(0.1, 0.2), trials=1, master_seed=0,
     ),
-    **_slots("DecoderConfig", DecoderConfig, p=0.5, restarts=2),
+    **_slots("DecoderConfig", DecoderConfig, p=0.5),
     **_slots("CurveRequest", CurveRequest, p_min=0.5, p_max=1.0, steps=2),
     **_slots("SeedSpec", SeedSpec, master_seed=0, stream_id=0),
     **_slots("decode", lambda a, y: decode(a, y, DecoderConfig(p=0.5)), a=_EYE, y=_ONES),
@@ -633,7 +647,7 @@ def test_cell_stacks_are_bounded_and_do_not_change_results(monkeypatch):
 
     monkeypatch.setattr(harness, "_decode_stack", recording)
     for entries, per_p in ((1, [1] * 14), (3 * 40 * 4, [2, 3, 3, 3, 3]), (1 << 20, [14])):
-        monkeypatch.setattr(decoder, "_STACK_ENTRIES", entries)
+        monkeypatch.setattr(harness, "_STACK_ENTRIES", entries)
         stacks.clear()
         assert phase_csv(run_sweep(plan)) == whole
         assert stacks == [(size, p) for p in (0.5, 1.0) for size in per_p]
