@@ -14,7 +14,6 @@ from .certify import (
     attack_arbitrary,
     attack_fixed_sign,
     brute_force_min_margin,
-    report_json,
     search_violation,
     signed_margin,
     unsigned_margin,
@@ -43,9 +42,7 @@ from .harness import (
     ConcentrationReport,
     PhaseCell,
     SweepPlan,
-    concentration_csv,
     concentration_study,
-    phase_csv,
     run_sweep,
     trial_seeds,
 )
@@ -54,7 +51,6 @@ from .threshold import (
     CurveRequest,
     ThresholdPoint,
     curve,
-    curve_csv,
     drho_dp,
     mc_threshold_oracle,
     rho_star,
@@ -85,10 +81,8 @@ __all__ = [
     "attack_fixed_sign",
     "brute_force_min_margin",
     "ceil_count",
-    "concentration_csv",
     "concentration_study",
     "curve",
-    "curve_csv",
     "decode",
     "drho_dp",
     "floor_count",
@@ -98,9 +92,7 @@ __all__ = [
     "mc_threshold_oracle",
     "mix64",
     "mu",
-    "phase_csv",
     "read_instance",
-    "report_json",
     "rho_star",
     "run_sweep",
     "search_violation",

@@ -31,7 +31,6 @@ inputs once.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -410,21 +409,3 @@ def attack_fixed_sign(
             magnitude *= 2.0
     e[t_plus] = q._sgn[t_plus] * magnitude
     return e, f - q.z
-
-
-def report_json(report: CertifyReport, query: ConditionQuery) -> str:
-    """Serialize a report with its query context as stable JSON."""
-    if query.mode == "unsigned":
-        rho = float(query.rho)
-    else:
-        rho = len(query.support) / query.a.shape[0]
-    payload = {
-        "min_margin": report.min_margin,
-        "violated": report.violated,
-        "witness": [float(v) for v in report.witness],
-        "restarts_used": report.restarts_used,
-        "mode": query.mode,
-        "p": query.p,
-        "rho": rho,
-    }
-    return json.dumps(payload, indent=2) + "\n"

@@ -24,7 +24,6 @@ from .certify import (
     ConditionQuery,
     attack_arbitrary,
     attack_fixed_sign,
-    report_json,
     search_violation,
     unsigned_margin,
 )
@@ -39,9 +38,9 @@ from .ensemble import (
     read_instance,
 )
 from .errors import LpdecodeError
-from .harness import SweepPlan, concentration_csv, concentration_study, phase_csv, run_sweep
+from .harness import SweepPlan, concentration_study, run_sweep
 from .seeding import mix64
-from .threshold import CurveRequest, curve, curve_csv
+from .threshold import CurveRequest, curve
 
 _ENV_SEED = "LPDECODE_SEED"
 # Far more points than a sweep needs; refuses a mistyped step such as 1e-12.
@@ -91,8 +90,47 @@ def _resolve_seed(args) -> int:
     raise _UsageError(f"--seed is required (or set {_ENV_SEED})")
 
 
+# -- writers: every output schema is in the parser epilogs below --
+
+
 def _json_report(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _g(x: float | None) -> str:
+    """A float as CSV writes it: 9 significant digits, or empty for None."""
+    return "" if x is None else f"{x:.9g}"
+
+
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row of fields (ints, or strings
+    already formatted), each line ending in a newline."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
+def _curve_csv(points) -> str:
+    return _csv(
+        "p,z_star,rho_star,drho_dp",
+        ((_g(pt.p), _g(pt.z_star), _g(pt.rho_star), _g(pt.drho_dp)) for pt in points),
+    )
+
+
+def _phase_csv(cells) -> str:
+    """wallclock_ms is written as 0, so reruns of a plan are byte-identical;
+    the measured value stays on each PhaseCell."""
+    return _csv(
+        "p,rho,m,n,trials,successes,success_rate,mean_objective_gap,wallclock_ms",
+        ((_g(c.p), _g(c.rho), c.m, c.n, c.trials, c.successes, _g(c.success_rate),
+          _g(c.mean_objective_gap), 0) for c in cells),
+    )
+
+
+def _concentration_csv(reports) -> str:
+    return _csv(
+        "rho,p,m,trials,ratio_Tminus,ratio_Tc,margin_sign",
+        ((_g(r.rho), _g(r.p), r.m, r.trials, _g(r.ratio_Tminus), _g(r.ratio_Tc), r.margin_sign)
+         for r in reports),
+    )
 
 
 # -- subcommand handlers (each returns the output text) --
@@ -105,7 +143,7 @@ def _cmd_threshold(args) -> str:
         steps=args.steps,
         with_derivative=args.derivative,
     )
-    return curve_csv(curve(req))
+    return _curve_csv(curve(req))
 
 
 def _cmd_decode(args) -> str:
@@ -144,7 +182,7 @@ def _cmd_phase(args) -> str:
         error_regime=args.regime,
         master_seed=seed,
     )
-    return phase_csv(run_sweep(plan, jobs=args.jobs))
+    return _phase_csv(run_sweep(plan, jobs=args.jobs))
 
 
 def _cmd_certify(args) -> str:
@@ -168,7 +206,17 @@ def _cmd_certify(args) -> str:
             support, signs = draw_support_signs(a.shape[0], args.rho, SeedSpec(seed, 1))
         query = ConditionQuery(a=a, p=args.p, mode="signed", support=support, signs=signs)
     report = search_violation(query, restarts=args.restarts, seed=SeedSpec(seed, 2))
-    return report_json(report, query)
+    return _json_report(
+        {
+            "min_margin": report.min_margin,
+            "violated": report.violated,
+            "witness": [float(v) for v in report.witness],
+            "restarts_used": report.restarts_used,
+            "mode": args.mode,
+            "p": args.p,
+            "rho": args.rho if args.mode == "unsigned" else len(support) / len(a),
+        }
+    )
 
 
 def _cmd_attack(args) -> str:
@@ -223,7 +271,7 @@ def _cmd_concentration(args) -> str:
         concentration_study(rho, args.p, args.m, args.trials, seed=mix64(seed, i))
         for i, rho in enumerate(_parse_grid(args.rho))
     ]
-    return concentration_csv(reports)
+    return _concentration_csv(reports)
 
 
 # Built once per process: each add_argument asks the terminal for its size,

@@ -12,8 +12,8 @@ within a phase.  eps is applied relative to the squared measurement scale
 iteration itself runs on y and A divided by powers of two, so that holds
 across the whole float range.
 
-One kernel, ``_irls``, runs IRLS on a stack of trials at once and returns
-arrays; ``_decode_stack`` scales each trial, starts it, and builds every
+One kernel, ``_irls``, starts and runs IRLS on a stack of trials at once
+and returns arrays; ``_decode_stack`` scales each trial and builds every
 result, or the error of a run that failed, in one loop.  ``decode`` passes
 one trial; a sweep passes the trials at one p, in the bounded stacks of
 ``harness._stacks``.  A stack holds its A three times at most: the stacked
@@ -119,11 +119,10 @@ def _dposv():
     return module.dposv
 
 
-def _solve(a, w, y, dposv):
+def _solve(a, w, y):
     """One weighted least-squares solve per trial of a stack.
 
-    a is (T, m, n), w is (T, m) and y is (T, m); dposv is ``_dposv()``,
-    looked up once per stack rather than per step.  Returns x of shape
+    a is (T, m, n), w is (T, m) and y is (T, m).  Returns x of shape
     (T, n), with zero rows for the trials that fail, and a dict
     {trial: SingularityError} for the failures.
 
@@ -142,6 +141,7 @@ def _solve(a, w, y, dposv):
     x = np.zeros((len(w), n))
     pivots = np.ones((len(w), n))  # stays 1 for the trials not factored
     failed = {}
+    dposv = _dposv()
     for t in range(len(w)):
         upper, xt, info = dposv(gram[t], rhs[t], lower=0)
         if info:
@@ -169,25 +169,27 @@ def _norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _irls(a, y, p, x0, s2, live, dposv):
-    """IRLS from each row of x0 on a stack of trials: the phases of _EPS
-    around the inner reweighted loop, per trial.
+def _irls(a, y, p, s2):
+    """IRLS on a stack of trials from each one's unweighted least-squares
+    fit: the phases of _EPS around the inner reweighted loop, per trial.
 
-    a is (T, m, n), y is (T, m), x0 is (T, n), s2 (T,) is the squared
-    measurement scale of each trial, live (T,) marks the trials to run and
-    dposv is handed to every ``_solve``.  Returns per-trial x (T, n),
-    iterations (T,), converged (T,) and phase_starts (T, phases), the trace
-    (steps, T), whose first iterations[t] rows hold trial t's objectives,
-    and {trial: LpdecodeError} for the failures; a trial that was not live
-    or failed has zero rows.  The stack holds only
-    the live trials: a trial that finishes or fails leaves it, and its
-    result is written back at its own index.  Its rows of a and y leave
-    too: the live rows move forward in place, so _irls owns a and y, and
-    the caller must not read them afterwards.
+    a is (T, m, n), y is (T, m) and s2 (T,) is the squared measurement
+    scale of each trial; a trial with s2 = 0 (a zero y) or whose first
+    solve fails is not run.  Returns per-trial x (T, n), iterations (T,),
+    converged (T,) and phase_starts (T, phases), the trace (steps, T),
+    whose first iterations[t] rows hold trial t's objectives, and
+    {trial: LpdecodeError} for the failures, those of the first solve
+    included; a trial that was not run or failed has zero rows.  The stack
+    holds only the running trials: a trial that finishes or fails leaves
+    it, and its result is written back at its own index.  Its rows of a and
+    y leave too: the live rows move forward in place, so _irls owns a and
+    y, and the caller must not read them afterwards.
     """
-    t_count, n = x0.shape
+    t_count, m, n = a.shape
     ids = np.arange(t_count)  # the caller's index of each row of the stack
-    x = x0
+    x, errors = _solve(a, np.ones((t_count, m)), y)
+    keep = s2 > 0
+    keep[list(errors)] = False
     r = y - (a @ x[..., None])[..., 0]
     phase = np.zeros(t_count, dtype=np.int64)  # each trial's index into _EPS
     inner = np.zeros(t_count, dtype=np.int64)
@@ -199,8 +201,6 @@ def _irls(a, y, p, x0, s2, live, dposv):
     phase_starts = np.zeros((t_count, len(_EPS)), dtype=np.int64)
     x_out = np.zeros((t_count, n))
     converged = np.zeros(t_count, dtype=bool)
-    errors: dict[int, LpdecodeError] = {}
-    keep = live
     k = 0
     while keep.any():
         if not keep.all():
@@ -214,7 +214,7 @@ def _irls(a, y, p, x0, s2, live, dposv):
             a, y = a[: len(rows)], y[: len(rows)]
         eps_abs = (_EPS[phase] * s2)[:, None]
         w = (r * r + eps_abs) ** (p / 2 - 1)
-        x_new, failed = _solve(a, w, y, dposv)
+        x_new, failed = _solve(a, w, y)
         r_new = y - (a @ x_new[..., None])[..., 0]
         trace[k, ids] = np.sum((r_new * r_new + eps_abs) ** (p / 2), axis=-1)
         k += 1
@@ -274,16 +274,9 @@ def _decode_stack(a, y, p):
     per trial (x = 0 for a zero y, else scaled back to the original A and
     y), or the LpdecodeError that trial raised; a trial that fails leaves
     the others' results unchanged."""
-    t_count, m, n = a.shape
+    t_count, _, n = a.shape
     as_, ys, ea, ey, s2 = _scale(a, y)
-    dposv = _dposv()
-    x0, failed = _solve(as_, np.ones((t_count, m)), ys, dposv)
-    # A zero y or a failed first solve keeps its trial out of the stack.
-    runnable = s2 > 0
-    runnable[list(failed)] = False
-    xs, iterations, converged, phase_starts, trace, errors = _irls(
-        as_, ys, p, x0, s2, runnable, dposv
-    )
+    xs, iterations, converged, phase_starts, trace, errors = _irls(as_, ys, p, s2)
     out = []
     # an x past the float range scales back to inf, and its objective to
     # inf or NaN, which the check below reports
@@ -293,7 +286,7 @@ def _decode_stack(a, y, p):
             if s2[t] == 0.0:
                 out.append(DecodeResult(np.zeros(n), 0.0, [], 0, True, []))
                 continue
-            error = failed.get(t) or errors.get(t)
+            error = errors.get(t)
             obj = math.nan if error else lp_objective(y[t] - a[t] @ x[t], p)
             if error or not math.isfinite(obj):
                 out.append(error or NumericError("objective became non-finite"))

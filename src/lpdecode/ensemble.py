@@ -204,9 +204,7 @@ def apply_decoder_success(x_hat: np.ndarray, f: np.ndarray, tol: float = 1e-4) -
 def write_instance(inst: Instance, prefix: str | Path) -> tuple[Path, Path]:
     """Write ``<prefix>.csv`` (the matrix, 17 significant digits) and
     ``<prefix>.json`` (f, e, y, support, signs, seed)."""
-    prefix = Path(prefix)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
+    csv_path, json_path = Path(f"{prefix}.csv"), Path(f"{prefix}.json")
 
     rows = [",".join(f"{v:.17g}" for v in row) for row in inst.a]
     csv_path.write_text("\n".join(rows) + "\n")
@@ -229,15 +227,15 @@ def write_instance(inst: Instance, prefix: str | Path) -> tuple[Path, Path]:
 
 def read_instance(prefix: str | Path) -> Instance:
     """Read an instance written by :func:`write_instance` and validate it."""
-    prefix = Path(prefix)
+    csv_path, json_path = Path(f"{prefix}.csv"), Path(f"{prefix}.json")
     try:
         rows = [
             [float(v) for v in line.split(",")]
-            for line in prefix.with_suffix(".csv").read_text().splitlines()
+            for line in csv_path.read_text().splitlines()
             if line
         ]
         a = np.array(rows, dtype=float)
-        sidecar = json.loads(prefix.with_suffix(".json").read_text())
+        sidecar = json.loads(json_path.read_text())
         shape = (sidecar["m"], sidecar["n"])
         seed = sidecar.get("seed")
         if seed is not None:

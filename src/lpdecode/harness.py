@@ -318,54 +318,3 @@ def concentration_study(
         positive_trials=int(np.sum(diffs > 0)),
         negative_trials=int(np.sum(diffs < 0)),
     )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def phase_csv(cells: list[PhaseCell], timing: bool = False) -> str:
-    """Render sweep cells as CSV.
-
-    wallclock_ms is written as 0 unless ``timing`` is set, so reruns of the
-    same plan produce byte-identical output; the measured value stays on the
-    cell object either way.
-    """
-    lines = ["p,rho,m,n,trials,successes,success_rate,mean_objective_gap,wallclock_ms"]
-    for c in cells:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(c.p),
-                    _fmt(c.rho),
-                    str(c.m),
-                    str(c.n),
-                    str(c.trials),
-                    str(c.successes),
-                    _fmt(c.success_rate),
-                    _fmt(c.mean_objective_gap),
-                    str(c.wallclock_ms if timing else 0),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def concentration_csv(reports: list[ConcentrationReport]) -> str:
-    """Render concentration reports as CSV (stable across reruns)."""
-    lines = ["rho,p,m,trials,ratio_Tminus,ratio_Tc,margin_sign"]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.rho),
-                    _fmt(r.p),
-                    str(r.m),
-                    str(r.trials),
-                    _fmt(r.ratio_Tminus),
-                    _fmt(r.ratio_Tc),
-                    r.margin_sign,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"

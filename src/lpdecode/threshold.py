@@ -212,15 +212,3 @@ def mc_threshold_oracle(p: float, m: int, seed: int) -> float:
     prefix = np.cumsum(y)
     k = int(np.searchsorted(prefix, 0.5 * prefix[-1], side="left")) + 1
     return k / m
-
-
-def curve_csv(points: list[ThresholdPoint]) -> str:
-    """CSV rendering, header ``p,z_star,rho_star,drho_dp``, 9 significant digits.
-
-    The derivative field is left empty for points where it was not computed.
-    """
-    lines = ["p,z_star,rho_star,drho_dp"]
-    for pt in points:
-        deriv = "" if pt.drho_dp is None else f"{pt.drho_dp:.9g}"
-        lines.append(f"{pt.p:.9g},{pt.z_star:.9g},{pt.rho_star:.9g},{deriv}")
-    return "\n".join(lines) + "\n"

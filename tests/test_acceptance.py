@@ -21,23 +21,21 @@ from lpdecode import (
     SweepPlan,
     attack_arbitrary,
     attack_fixed_sign,
-    concentration_csv,
     concentration_study,
     curve,
-    curve_csv,
     decode,
     drho_dp,
     gaussian_matrix,
     lp_objective,
     make_instance,
     mc_threshold_oracle,
-    phase_csv,
     rho_star,
     run_sweep,
     search_violation,
     signed_margin,
     unsigned_margin,
 )
+from lpdecode.cli import _concentration_csv, _curve_csv, _phase_csv
 
 from certify_oracle import support_margin
 
@@ -288,12 +286,12 @@ def test_criterion_10_property_suite():
     plan = SweepPlan(
         m=40, n=5, p_values=(0.5,), rho_values=(0.1, 0.3), trials=5, master_seed=10_103
     )
-    sweep_stable = phase_csv(run_sweep(plan)) == phase_csv(run_sweep(plan))
+    sweep_stable = _phase_csv(run_sweep(plan)) == _phase_csv(run_sweep(plan))
     req = CurveRequest(p_min=0.5, p_max=1.0, steps=3, with_derivative=True)
-    curve_stable = curve_csv(curve(req)) == curve_csv(curve(req))
-    conc_stable = concentration_csv(
+    curve_stable = _curve_csv(curve(req)) == _curve_csv(curve(req))
+    conc_stable = _concentration_csv(
         [concentration_study(0.6, 0.5, 20_000, 2, seed=10_104)]
-    ) == concentration_csv([concentration_study(0.6, 0.5, 20_000, 2, seed=10_104)])
+    ) == _concentration_csv([concentration_study(0.6, 0.5, 20_000, 2, seed=10_104)])
 
     # worst-support dominance: top-k support minimizes over all size-k sets
     dominance = True

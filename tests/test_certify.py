@@ -20,13 +20,13 @@ from lpdecode import (
     brute_force_min_margin,
     gaussian_matrix,
     lp_objective,
-    report_json,
     search_violation,
     signed_margin,
     unsigned_margin,
 )
 from lpdecode import certify
 from lpdecode.certify import _coefficients
+from lpdecode.cli import main
 from lpdecode.ensemble import draw_support_signs
 
 from certify_oracle import l1_decode, support_margin
@@ -482,11 +482,11 @@ def test_signed_violation_at_p1_defeats_l1_decoding():
     assert np.max(np.abs(x_hat - f)) > 0.1
 
 
-def test_report_json_contents():
-    a = gaussian_matrix(20, 3, SeedSpec(120, 0))
-    q = ConditionQuery(a=a, p=0.5, mode="unsigned", rho=0.4)
-    rep = search_violation(q, restarts=2, seed=SeedSpec(121, 0))
-    payload = json.loads(report_json(rep, q))
+def test_report_json_contents(capsys):
+    # certify's report is the search's result with the query's context
+    argv = ["certify", "--m", "20", "--n", "3", "--p", "0.5", "--seed", "120"]
+    assert main(argv + ["--mode", "unsigned", "--rho", "0.4", "--restarts", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {
         "min_margin",
         "violated",
@@ -500,14 +500,15 @@ def test_report_json_contents():
     assert payload["rho"] == 0.4
     assert payload["p"] == 0.5
     assert payload["restarts_used"] == 2
-    assert len(payload["witness"]) == 3
+    q = ConditionQuery(a=gaussian_matrix(20, 3, SeedSpec(120, 0)), p=0.5, mode="unsigned", rho=0.4)
+    rep = search_violation(q, restarts=2, seed=SeedSpec(120, 2))
     assert payload["min_margin"] == rep.min_margin
+    assert payload["witness"] == rep.witness.tolist()
+    assert payload["violated"] == rep.violated
 
-    support = np.array([0, 5, 9])
-    signs = {0: 1, 5: -1, 9: 1}
-    q2 = ConditionQuery(a=a, p=0.5, mode="signed", support=support, signs=signs)
-    rep2 = search_violation(q2, restarts=1, seed=SeedSpec(122, 0))
-    payload2 = json.loads(report_json(rep2, q2))
+    # a signed report's rho is its support's share of m: floor(0.16 * 20) = 3
+    assert main(argv + ["--mode", "signed", "--rho", "0.16", "--restarts", "1"]) == 0
+    payload2 = json.loads(capsys.readouterr().out)
     assert payload2["rho"] == pytest.approx(3 / 20)
     assert payload2["mode"] == "signed"
 

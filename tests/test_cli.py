@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lpdecode
-from lpdecode import ErrorSpec, Instance, SeedSpec, make_instance, rho_star, write_instance
+from lpdecode import (
+    ErrorSpec,
+    Instance,
+    SeedSpec,
+    make_instance,
+    read_instance,
+    rho_star,
+    write_instance,
+)
 from lpdecode.cli import _parse_grid, _UsageError, main
 
 
@@ -63,6 +72,39 @@ def test_help_exits_zero_and_documents_schema(capsys):
     assert rc == 0
     assert "Output schema" in out
     assert "success_rate" in out
+
+
+# One small run of each command (and of each attack mode, whose payloads
+# are built apart), to check what --help documents against what is written.
+SCHEMA_RUNS = [
+    ["threshold", "--p-min", "0.5", "--p-max", "1", "--steps", "2", "--derivative"],
+    ["decode", "--p", "0.5", "--m", "20", "--n", "3", "--rho", "0.1", "--seed", "1"],
+    ["phase", "--m", "20", "--n", "3", "--p", "0.5", "--rho", "0.1", "--trials", "1",
+     "--seed", "1"],
+    ["certify", "--mode", "unsigned", "--m", "20", "--n", "3", "--p", "0.5", "--rho", "0.2",
+     "--restarts", "1", "--seed", "1"],
+    ["attack", "--mode", "arbitrary", "--m", "20", "--n", "3", "--p", "0.5", "--rho", "0.2",
+     "--seed", "1"],
+    ["attack", "--mode", "fixed_sign", "--m", "20", "--n", "3", "--p", "0.5", "--rho", "0.2",
+     "--restarts", "1", "--seed", "1"],
+    ["concentration", "--rho", "0.5", "--p", "0.5", "--m", "20000", "--trials", "1",
+     "--seed", "1"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", SCHEMA_RUNS, ids=lambda argv: "-".join(argv[:3:2] if argv[1] == "--mode" else argv[:1])
+)
+def test_help_schema_names_what_the_command_writes(capsys, argv):
+    rc, help_text, _ = run(capsys, [argv[0], "--help"])
+    assert rc == 0
+    kind, names = re.search(
+        r"Output schema: (CSV|JSON) with (?:header|keys) ((?:\w+,\s*)*\w+)", help_text
+    ).groups()
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    written = out.splitlines()[0].split(",") if kind == "CSV" else list(json.loads(out))
+    assert written == re.split(r",\s*", names)
 
 
 def test_threshold_single_point(capsys, tmp_path):
@@ -194,6 +236,24 @@ def test_decode_from_fixture(capsys, tmp_path):
     assert payload["success"] is True
     assert payload["m"] == 40
     assert payload["rho"] == pytest.approx(0.2)
+
+
+def test_fixture_prefixes_that_differ_after_a_dot_stay_apart(capsys, tmp_path):
+    # the suffix is appended to the prefix, not put in place of what
+    # follows its last dot
+    insts = {rho: make_instance(20, 3, ErrorSpec(rho=float(rho)), SeedSpec(5, 0))
+             for rho in ("0.1", "0.2")}
+    for rho, inst in insts.items():
+        write_instance(inst, tmp_path / f"case_rho{rho}")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        f"case_rho{rho}.{ext}" for rho in insts for ext in ("csv", "json")
+    ]
+    for rho, inst in insts.items():
+        prefix = tmp_path / f"case_rho{rho}"
+        np.testing.assert_array_equal(read_instance(prefix).y, inst.y)
+        rc, out, _ = run(capsys, ["decode", "--p", "0.5", "--instance", str(prefix)])
+        assert rc == 0
+        assert json.loads(out)["rho"] == float(rho)
 
 
 def test_decode_from_fixture_ignores_seed(capsys, tmp_path):

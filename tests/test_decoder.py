@@ -52,7 +52,7 @@ def test_lp_objective_rejects_bad_p():
 def _solve_one(a, y, w):
     """decoder._solve on a one-trial stack: x, or the SingularityError it
     reports for that trial."""
-    x, failed = decoder._solve(a[None], w[None], y[None], decoder._dposv())
+    x, failed = decoder._solve(a[None], w[None], y[None])
     if failed:
         raise failed[0]
     return x[0]
@@ -439,9 +439,9 @@ def test_finished_trials_leave_the_stack(monkeypatch):
     solve = decoder._solve
     rows = []
 
-    def counting(a, w, y, dposv):
+    def counting(a, w, y):
         rows.append(len(w))
-        return solve(a, w, y, dposv)
+        return solve(a, w, y)
 
     monkeypatch.setattr(decoder, "_solve", counting)
     stacked = _decode_stack(a, y, 0.5)

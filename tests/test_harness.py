@@ -18,7 +18,6 @@ from lpdecode import (
     PhaseCell,
     SeedSpec,
     SweepPlan,
-    concentration_csv,
     apply_decoder_success,
     attack_arbitrary,
     attack_fixed_sign,
@@ -31,7 +30,6 @@ from lpdecode import (
     make_instance,
     mc_threshold_oracle,
     mu,
-    phase_csv,
     run_sweep,
     search_violation,
     signed_margin,
@@ -40,6 +38,7 @@ from lpdecode import (
     unsigned_margin,
 )
 from lpdecode import harness
+from lpdecode.cli import _concentration_csv, _phase_csv
 from lpdecode.ensemble import draw_support_signs
 
 INTEGER_FIELDS = {
@@ -416,7 +415,7 @@ def test_sweep_deterministic_rerun():
     )
     first = run_sweep(plan)
     second = run_sweep(plan)
-    assert phase_csv(first) == phase_csv(second)
+    assert _phase_csv(first) == _phase_csv(second)
     for a, b in zip(first, second):
         assert a.successes == b.successes
         assert a.mean_objective_gap == b.mean_objective_gap
@@ -431,7 +430,7 @@ def test_sweep_jobs_do_not_change_results():
         trials=3,
         master_seed=13,
     )
-    assert phase_csv(run_sweep(plan, jobs=1)) == phase_csv(run_sweep(plan, jobs=2))
+    assert _phase_csv(run_sweep(plan, jobs=1)) == _phase_csv(run_sweep(plan, jobs=2))
 
 
 def test_sweep_cell_grid_order():
@@ -519,7 +518,7 @@ def test_concentration_validation():
 
 def test_phase_csv_layout():
     cells = _cells([1.0, 0.5], [0.1, 0.2])
-    text = phase_csv(cells)
+    text = _phase_csv(cells)
     lines = text.splitlines()
     assert (
         lines[0]
@@ -527,31 +526,29 @@ def test_phase_csv_layout():
     )
     assert len(lines) == 3
     assert text.endswith("\n")
-    # timing is suppressed by default for byte-stable artifacts
+    # wallclock_ms is written as 0 for byte-stable artifacts
     assert lines[1].split(",")[-1] == "0"
-    assert phase_csv(cells, timing=True).splitlines()[1].split(",")[-1] == "5"
-    # in a sweep the cells at one p share a stack, and each gets a share of
+    # in a sweep the cells at one p share a stack, and each keeps a share of
     # its time
     plan = SweepPlan(
         m=40, n=4, p_values=(0.5, 1.0), rho_values=(0.1, 0.3), trials=3, master_seed=1
     )
     cells = run_sweep(plan)
-    for row, cell in zip(phase_csv(cells, timing=True).splitlines()[1:], cells):
+    for cell in cells:
         assert isinstance(cell.wallclock_ms, int) and cell.wallclock_ms >= 0
-        assert row.split(",")[-1] == str(cell.wallclock_ms)
-    assert all(row.endswith(",0") for row in phase_csv(cells).splitlines()[1:])
+    assert all(row.endswith(",0") for row in _phase_csv(cells).splitlines()[1:])
 
 
 def test_phase_csv_nine_significant_digits():
     cells = _cells([1 / 3], [0.123456789123], trials=3)
-    row = phase_csv(cells).splitlines()[1].split(",")
+    row = _phase_csv(cells).splitlines()[1].split(",")
     assert row[1] == "0.123456789"
     assert row[6] == "0.333333333"
 
 
 def test_concentration_csv_layout():
     rep = concentration_study(0.5, 0.5, 20_000, trials=2, seed=1)
-    text = concentration_csv([rep])
+    text = _concentration_csv([rep])
     lines = text.splitlines()
     assert lines[0] == "rho,p,m,trials,ratio_Tminus,ratio_Tc,margin_sign"
     assert len(lines) == 2
@@ -590,7 +587,7 @@ def test_run_sweep_starts_no_more_workers_than_stacks(monkeypatch):
         m=30, n=4, p_values=(0.4, 0.8), rho_values=(0.1,), trials=2, master_seed=3
     )
     assert len(harness._stacks(plan)) == 2
-    assert phase_csv(run_sweep(plan, jobs=5000)) == phase_csv(run_sweep(plan))
+    assert _phase_csv(run_sweep(plan, jobs=5000)) == _phase_csv(run_sweep(plan))
     assert sizes == [2]
     # one stack runs in-process, with no pool at all
     run_sweep(SweepPlan(m=30, n=4, p_values=(0.4,), rho_values=(0.1,), trials=2), jobs=5000)
@@ -637,7 +634,7 @@ def test_cell_stacks_are_bounded_and_do_not_change_results(monkeypatch):
         m=40, n=4, p_values=(0.5, 1.0), rho_values=(0.1, 0.3), trials=7,
         error_regime="adversarial", master_seed=2,
     )
-    whole = phase_csv(run_sweep(plan))
+    whole = _phase_csv(run_sweep(plan))
     decode_stack = harness._decode_stack
     stacks = []
 
@@ -649,7 +646,7 @@ def test_cell_stacks_are_bounded_and_do_not_change_results(monkeypatch):
     for entries, per_p in ((1, [1] * 14), (3 * 40 * 4, [2, 3, 3, 3, 3]), (1 << 20, [14])):
         monkeypatch.setattr(harness, "_STACK_ENTRIES", entries)
         stacks.clear()
-        assert phase_csv(run_sweep(plan)) == whole
+        assert _phase_csv(run_sweep(plan)) == whole
         assert stacks == [(size, p) for p in (0.5, 1.0) for size in per_p]
 
 
@@ -695,6 +692,6 @@ def test_solver_errors_are_counted_per_cell(monkeypatch):
     assert [c.errors for c in clean] == [0, 0]
     assert [c.errors for c in cells] == [0, 1]
     assert cells[1].successes <= cells[1].trials - cells[1].errors
-    assert phase_csv(cells[:1]) == phase_csv(clean[:1])
+    assert _phase_csv(cells[:1]) == _phase_csv(clean[:1])
     # the CSV has no errors column, so the default output does not change
-    assert phase_csv(cells).splitlines()[0] == phase_csv(clean).splitlines()[0]
+    assert _phase_csv(cells).splitlines()[0] == _phase_csv(clean).splitlines()[0]

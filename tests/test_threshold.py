@@ -8,13 +8,13 @@ from scipy.special import digamma, gammainccinv
 
 import quadrature_oracle
 from lpdecode import threshold
+from lpdecode.cli import _curve_csv
 from lpdecode import (
     CurveRequest,
     DomainError,
     NumericError,
     ThresholdPoint,
     curve,
-    curve_csv,
     drho_dp,
     mc_threshold_oracle,
     mu,
@@ -145,7 +145,7 @@ def test_curve_csv_matches_quadrature_oracle_bytes():
         )
         for pt in pts
     ]
-    assert curve_csv(pts) == curve_csv(by_oracle)
+    assert _curve_csv(pts) == _curve_csv(by_oracle)
 
 
 # SciPy is the reference for the two special functions the library computes
@@ -165,10 +165,10 @@ def test_zstar_and_digamma_match_scipy():
 
 def test_curve_csv_matches_scipy_special_bytes(monkeypatch):
     req = CurveRequest(p_min=1e-4, p_max=1.0, steps=2001, with_derivative=True)
-    text = curve_csv(curve(req))
+    text = _curve_csv(curve(req))
     monkeypatch.setattr(threshold, "_gamma_median", lambda s: float(gammainccinv(s, 0.5)))
     monkeypatch.setattr(threshold, "_digamma", lambda s: float(digamma(s)))
-    assert text == curve_csv(curve(req))
+    assert text == _curve_csv(curve(req))
 
 
 def test_gamma_median_settles_well_inside_its_step_bound(monkeypatch):
@@ -284,7 +284,7 @@ def test_mc_oracle_validation():
 
 def test_curve_csv_layout():
     pts = curve(CurveRequest(p_min=0.5, p_max=1.0, steps=2, with_derivative=True))
-    text = curve_csv(pts)
+    text = _curve_csv(pts)
     lines = text.splitlines()
     assert lines[0] == "p,z_star,rho_star,drho_dp"
     assert len(lines) == 3
@@ -297,10 +297,10 @@ def test_curve_csv_layout():
 
 def test_curve_csv_empty_derivative_column():
     pts = curve(CurveRequest(p_min=1.0, p_max=1.0, steps=1))
-    lines = curve_csv(pts).splitlines()
+    lines = _curve_csv(pts).splitlines()
     assert lines[1].endswith(",")
 
 
 def test_curve_csv_deterministic():
     req = CurveRequest(p_min=0.3, p_max=0.9, steps=3, with_derivative=True)
-    assert curve_csv(curve(req)) == curve_csv(curve(req))
+    assert _curve_csv(curve(req)) == _curve_csv(curve(req))
