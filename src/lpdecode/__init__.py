@@ -33,6 +33,7 @@ from .ensemble import (
     floor_count,
     gaussian_matrix,
     make_instance,
+    mix64,
     read_instance,
     write_instance,
 )
@@ -46,7 +47,6 @@ from .harness import (
     run_sweep,
     trial_seeds,
 )
-from .seeding import mix64
 from .threshold import (
     CurveRequest,
     ThresholdPoint,

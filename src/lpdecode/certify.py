@@ -165,21 +165,27 @@ def _coefficients(q: ConditionQuery, v: np.ndarray, absv: np.ndarray) -> np.ndar
     return np.subtract(q._sgn == 0, opposing, dtype=float)
 
 
-def _margin(q: ConditionQuery) -> float:
-    """The margin of the condition ``q`` names at ``q.z``."""
-    v = q.a @ q.z
-    absv = np.abs(v)
-    return float(np.dot(_coefficients(q, v, absv), absv**q.p))
+def _margin(q: ConditionQuery) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The margin of ``q`` at ``q.z``, with the v = A z, |v| and coefficients it
+    sums; NumericError unless it is finite, which makes v finite too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = q.a @ q.z
+        absv = np.abs(v)
+        coef = _coefficients(q, v, absv)
+        margin = float(np.dot(coef, absv**q.p))
+    if not math.isfinite(margin):
+        raise NumericError(f"the margin at z is {margin}: A z overflowed")
+    return margin, v, absv, coef
 
 
 def unsigned_margin(a: np.ndarray, p: float, rho: float, z) -> float:
     """Margin against the worst support of size ceil(rho m) for this z."""
-    return _margin(ConditionQuery(a=a, p=p, mode="unsigned", rho=rho, z=z))
+    return _margin(ConditionQuery(a=a, p=p, mode="unsigned", rho=rho, z=z))[0]
 
 
 def signed_margin(a: np.ndarray, p: float, support, signs: dict[int, int], z) -> float:
     """Margin when the error support and signs are fixed in advance."""
-    return _margin(ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs, z=z))
+    return _margin(ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs, z=z))[0]
 
 
 def _margins_and_subgrads(q: ConditionQuery, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,10 +259,11 @@ def search_violation(
     ``restarts``), and T is picked by a partition (``_top_k``).  The report
     keeps the best margin seen anywhere, the first restart and then the
     first step that attains it.  ``q.z``, when present, seeds the first
-    restart.  A negative minimum is a certified violation
-    (the witness direction reproduces it); a non-negative minimum is only
-    evidence, since the search is not exhaustive.  NumericError when no
-    margin was below +inf (A z overflowed everywhere).
+    restart, scaled exactly by a power of two before it is normalised, so
+    that any finite z starts at its unit direction.  A negative minimum is
+    a certified violation (the witness reproduces it); a non-negative one
+    is only evidence, since the search is not exhaustive.  NumericError
+    when the least margin is not finite (A z overflowed).
     """
     _require_type("q", q, ConditionQuery)
     _require_count("restarts", restarts)
@@ -265,19 +272,18 @@ def search_violation(
     size = max(1, _BLOCK_ENTRIES // m)
 
     best_margin, best_z = math.inf, None
-    for first in range(0, restarts, size):
-        z = np.empty((min(size, restarts - first), n))
-        for r in range(len(z)):
-            if first + r == 0 and q.z is not None:
-                z[r] = q.z / np.linalg.norm(q.z)
-            else:
-                z[r] = gen.standard_normal(n)
-                z[r] /= np.linalg.norm(z[r])
-        margin, witness = _descend(q, z)
-        if margin < best_margin:
-            best_margin, best_z = margin, witness
-    if best_z is None:
-        raise NumericError("every margin of the search was NaN or +inf")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, restarts, size):
+            seeded = first == 0 and q.z is not None
+            z = gen.standard_normal((min(size, restarts - first) - seeded, n))
+            if seeded:
+                z = np.vstack([np.ldexp(q.z, -np.frexp(np.max(np.abs(q.z)))[1]), z])
+            z /= _norms(z)[:, None]
+            margin, witness = _descend(q, z)
+            if margin < best_margin:
+                best_margin, best_z = margin, witness
+    if not math.isfinite(best_margin):
+        raise NumericError(f"the least margin of the search is {best_margin}: A z overflowed")
     return CertifyReport(
         min_margin=best_margin,
         witness=best_z,
@@ -320,12 +326,15 @@ def brute_force_min_margin(
     # m = 30 raised peak memory by 6 MB.
     step = max(1, _BLOCK_ENTRIES // q.a.shape[0])
     margins = np.empty(z.shape[1])
-    for j in range(0, z.shape[1], step):
-        v = q.a @ z[:, j : j + step]
-        absv = np.abs(v)
-        coef = _coefficients(q, v.T, absv.T).T
-        margins[j : j + step] = np.einsum("ij,ij->j", coef, absv**q.p)
-    best = int(np.argmin(margins))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, z.shape[1], step):
+            v = q.a @ z[:, j : j + step]
+            absv = np.abs(v)
+            coef = _coefficients(q, v.T, absv.T).T
+            margins[j : j + step] = np.einsum("ij,ij->j", coef, absv**q.p)
+    best = int(np.argmin(margins))  # the first NaN, if there is one
+    if not math.isfinite(margins[best]):
+        raise NumericError(f"the least margin of the grid is {margins[best]}: A z overflowed")
     return float(margins[best]), z[:, best].copy()
 
 
@@ -347,8 +356,8 @@ def attack_arbitrary(
     """
     q = ConditionQuery(a=a, p=p, mode="unsigned", rho=rho, z=z)
     f = _require_finite("f", f, (q.a.shape[1],))
-    v = q.a @ q.z
-    t = _coefficients(q, v, np.abs(v)) < 0
+    _, v, _, coef = _margin(q)
+    t = coef < 0
     e = np.zeros(len(v))
     e[t] = v[t]
     return e, f + q.z
@@ -379,10 +388,7 @@ def attack_fixed_sign(
     """
     q = ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs, z=z)
     f = _require_finite("f", f, (q.a.shape[1],))
-    v = q.a @ q.z
-    absv = np.abs(v)
-    coef = _coefficients(q, v, absv)
-    margin = float(np.dot(coef, absv**q.p))
+    margin, v, absv, coef = _margin(q)
     if not margin < 0:
         raise DomainError(
             f"fixed-sign attack requires a strictly negative signed margin, got {margin}"

@@ -35,11 +35,11 @@ from .ensemble import (
     draw_support_signs,
     gaussian_matrix,
     make_instance,
+    mix64,
     read_instance,
 )
 from .errors import LpdecodeError
-from .harness import SweepPlan, concentration_study, run_sweep
-from .seeding import mix64
+from .harness import _REGIMES, SweepPlan, concentration_study, run_sweep
 from .threshold import CurveRequest, curve
 
 _ENV_SEED = "LPDECODE_SEED"
@@ -223,46 +223,37 @@ def _cmd_attack(args) -> str:
     seed = _resolve_seed(args)
     a = gaussian_matrix(args.m, args.n, SeedSpec(seed, 0))
     f = SeedSpec(seed, 1).generator().standard_normal(args.n)
+    pattern = None  # (e, x_alt), absent when the fixed-sign search finds no violation
     if args.mode == "arbitrary":
         z = SeedSpec(seed, 2).generator().standard_normal(args.n)
-        e, x_alt = attack_arbitrary(a, f, args.p, args.rho, z)
+        margin = unsigned_margin(a, args.p, args.rho, z)
+        pattern = attack_arbitrary(a, f, args.p, args.rho, z)
+    else:
+        support, signs = draw_support_signs(args.m, args.rho, SeedSpec(seed, 3))
+        query = ConditionQuery(a=a, p=args.p, mode="signed", support=support, signs=signs)
+        found = search_violation(query, restarts=args.restarts, seed=SeedSpec(seed, 2))
+        margin = found.min_margin
+        if found.violated:
+            pattern = attack_fixed_sign(a, f, args.p, support, signs, found.witness)
+    obj_f = obj_alt = None
+    if pattern is not None:
+        e, x_alt = pattern
         y = a @ f + e
         obj_f = lp_objective(y - a @ f, args.p)
         obj_alt = lp_objective(y - a @ x_alt, args.p)
-        return _json_report(
-            {
-                "mode": "arbitrary",
-                "p": args.p,
-                "rho": args.rho,
-                "m": args.m,
-                "n": args.n,
-                "margin": unsigned_margin(a, args.p, args.rho, z),
-                "objective_f": obj_f,
-                "objective_x_alt": obj_alt,
-                "succeeded": bool(obj_alt <= obj_f),
-            }
-        )
-    support, signs = draw_support_signs(args.m, args.rho, SeedSpec(seed, 3))
-    query = ConditionQuery(a=a, p=args.p, mode="signed", support=support, signs=signs)
-    found = search_violation(query, restarts=args.restarts, seed=SeedSpec(seed, 2))
-    payload = {
-        "mode": "fixed_sign",
-        "p": args.p,
-        "rho": args.rho,
-        "m": args.m,
-        "n": args.n,
-        "margin": found.min_margin,
-        "objective_f": None,
-        "objective_x_alt": None,
-        "succeeded": False,
-    }
-    if found.violated:
-        e, x_alt = attack_fixed_sign(a, f, args.p, support, signs, found.witness)
-        y = a @ f + e
-        payload["objective_f"] = lp_objective(y - a @ f, args.p)
-        payload["objective_x_alt"] = lp_objective(y - a @ x_alt, args.p)
-        payload["succeeded"] = bool(payload["objective_x_alt"] <= payload["objective_f"])
-    return _json_report(payload)
+    return _json_report(
+        {
+            "mode": args.mode,
+            "p": args.p,
+            "rho": args.rho,
+            "m": args.m,
+            "n": args.n,
+            "margin": margin,
+            "objective_f": obj_f,
+            "objective_x_alt": obj_alt,
+            "succeeded": pattern is not None and bool(obj_alt <= obj_f),
+        }
+    )
 
 
 def _cmd_concentration(args) -> str:
@@ -332,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument(
         "--regime",
-        choices=("arbitrary", "fixed_sign", "adversarial"),
+        choices=_REGIMES,
         default="arbitrary",
     )
     p.add_argument("--jobs", type=int, default=1, help="worker processes")

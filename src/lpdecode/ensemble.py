@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DomainError, _as_floats, _require_count, _require_finite, _require_in
 from .errors import _require_indices, _require_int, _require_matrix, _require_rho, _require_shape
 from .errors import _require_type
-from .seeding import generator_from
 
+_MASK64 = (1 << 64) - 1
 # Guard against 0.29*100 = 28.999999999999996-style float droop in k = floor(rho*m).
 _FLOOR_GUARD = 1e-9
 
@@ -40,7 +40,9 @@ def ceil_count(rho: float, m: int) -> int:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """A (master_seed, stream_id) pair naming one independent random stream."""
+    """A (master_seed, stream_id) pair naming one Philox stream; composite
+    experiments derive child stream ids with :func:`mix64`.  Both mappings
+    are frozen, so artifacts are byte-stable across runs and machines."""
 
     master_seed: int
     stream_id: int = 0
@@ -50,7 +52,31 @@ class SeedSpec:
         _require_count("stream_id", self.stream_id, least=0)
 
     def generator(self) -> np.random.Generator:
-        return generator_from(self.master_seed, self.stream_id)
+        """The Philox stream this pair owns."""
+        seq = np.random.SeedSequence(
+            entropy=int(self.master_seed) & _MASK64, spawn_key=(int(self.stream_id),)
+        )
+        return np.random.Generator(np.random.Philox(seq))
+
+
+def _splitmix64(x: int) -> int:
+    """One round of the splitmix64 output function (public-domain constants)."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def mix64(*values: int) -> int:
+    """Mix any number of integers into one 63-bit stream id.
+
+    Order-sensitive; negative inputs are folded through their two's
+    complement image so Python ints of any sign are accepted.
+    """
+    h = 0
+    for v in values:
+        h = _splitmix64(h ^ (int(v) & _MASK64))
+    return h & (_MASK64 >> 1)
 
 
 def _require_seed(seed, default: SeedSpec | None = None) -> SeedSpec:

@@ -24,11 +24,11 @@ from .ensemble import (
     draw_support_signs,
     floor_count,
     make_instance,
+    mix64,
 )
 from .errors import DomainError, LpdecodeError, _require_count, _require_int, _require_p
 from .errors import _require_rho, _require_shape, _require_type
 from .halfnormal import mu
-from .seeding import mix64
 
 log = logging.getLogger(__name__)
 
@@ -150,26 +150,21 @@ def _build_instance(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed) 
     return make_instance(m, n, ErrorSpec(rho=rho), inst_seed)
 
 
-def _blocks(count: int, entries: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest balanced blocks that split ``count`` trials
-    of ``entries`` entries of A each into at most _STACK_ENTRIES entries
-    (at least one trial each), in order."""
-    size = max(1, _STACK_ENTRIES // entries)
-    blocks = -(-count // size)
-    return [(count * b // blocks, count * (b + 1) // blocks) for b in range(blocks)]
-
-
 def _stacks(plan: SweepPlan) -> list[tuple[int, int, int]]:
     """(p index, start, stop) of each stack a sweep decodes, in grid order.
 
     The trials at one p, rho-major and in trial order, are split into the
-    bounded blocks of ``_blocks``, so a sweep's memory does not grow with
-    the number of trials; a stack never mixes p values, so p stays one
-    scalar.
+    fewest balanced blocks of at most _STACK_ENTRIES entries of A (at least
+    one trial each), so a sweep's memory does not grow with the number of
+    trials; a stack never mixes p values, so p stays one scalar.
     """
-    per_p = len(plan.rho_values) * plan.trials
-    blocks = _blocks(per_p, plan.m * plan.n)
-    return [(pi, start, stop) for pi in range(len(plan.p_values)) for start, stop in blocks]
+    count = len(plan.rho_values) * plan.trials
+    blocks = -(-count // max(1, _STACK_ENTRIES // (plan.m * plan.n)))
+    return [
+        (pi, count * b // blocks, count * (b + 1) // blocks)
+        for pi in range(len(plan.p_values))
+        for b in range(blocks)
+    ]
 
 
 def _run_stack(plan: SweepPlan, p_index: int, start: int, stop: int):

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _require_count, _require_int, _require_p
-from .errors import _require_type
-from .seeding import generator_from
+from .ensemble import SeedSpec
+from .errors import DomainError, NumericError, _require_count, _require_p, _require_type
 
 
 @dataclass(frozen=True)
@@ -83,10 +82,6 @@ def solve_zstar(p: float) -> float:
     reads Q(s, z***2/2) = 1/2, and z* = sqrt(2 * Q^-1(s, 1/2)).
     """
     _require_p(p)
-    return _zstar_at(p)
-
-
-def _zstar_at(p: float) -> float:
     return math.sqrt(2.0 * _gamma_median(0.5 * (p + 1.0)))
 
 
@@ -190,7 +185,7 @@ def curve(req: CurveRequest) -> list[ThresholdPoint]:
     _require_type("req", req, CurveRequest)
     points = []
     for p in req.p_values():
-        zs = _zstar_at(p)
+        zs = solve_zstar(p)
         deriv = _drho_at(p, zs) if req.with_derivative else None
         points.append(ThresholdPoint(p=p, z_star=zs, rho_star=_rho_at(zs), drho_dp=deriv))
     return points
@@ -206,9 +201,7 @@ def mc_threshold_oracle(p: float, m: int, seed: int) -> float:
     """
     _require_p(p)
     _require_count("m", m, least=10_000)
-    _require_int("seed", seed)
-    gen = generator_from(seed, 0)
-    y = np.sort(np.abs(gen.standard_normal(m)) ** p)[::-1]
+    y = np.sort(np.abs(SeedSpec(seed, 0).generator().standard_normal(m)) ** p)[::-1]
     prefix = np.cumsum(y)
     k = int(np.searchsorted(prefix, 0.5 * prefix[-1], side="left")) + 1
     return k / m

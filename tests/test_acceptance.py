@@ -24,7 +24,6 @@ from lpdecode import (
     concentration_study,
     curve,
     decode,
-    drho_dp,
     gaussian_matrix,
     lp_objective,
     make_instance,

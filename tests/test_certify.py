@@ -693,6 +693,50 @@ def test_search_with_no_finite_margin_raises():
     # A z overflows to inf in every row, so every margin is inf - inf = NaN
     a = np.full((2, 2), 1.5e308)
     q = ConditionQuery(a=a, p=1.0, mode="unsigned", rho=0.5, z=np.ones(2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError):
-            search_violation(q, restarts=1)
+    with pytest.raises(NumericError):
+        search_violation(q, restarts=1)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+@pytest.mark.parametrize("mode", ["unsigned", "signed"])
+def test_seeded_search_is_invariant_to_power_of_two_scaling(mode, k):
+    # scaling z by 2**k is exact, so the seeded start and the whole search
+    # are the same, though z's norm overflows or underflows at |k| = 1000
+    a = gaussian_matrix(30, 3, SeedSpec(0, 0))
+    z = SeedSpec(0, 1).generator().standard_normal(3)
+    if mode == "unsigned":
+        fields = dict(mode="unsigned", rho=0.3)
+    else:
+        support, signs = draw_support_signs(30, 0.5, SeedSpec(0, 2))
+        fields = dict(mode="signed", support=support, signs=signs)
+    reports = [
+        search_violation(ConditionQuery(a=a, p=0.5, z=start, **fields), restarts=2)
+        for start in (z, np.ldexp(z, k))
+    ]
+    assert reports[1].min_margin == reports[0].min_margin
+    assert reports[1].witness.tobytes() == reports[0].witness.tobytes()
+    assert reports[1].violated == reports[0].violated
+
+
+# A finite A whose products A z overflow, with a support, signs and z that fit it
+_HUGE = gaussian_matrix(30, 3, SeedSpec(0, 0)) * 5e307
+_ONES = np.ones(3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: unsigned_margin(_HUGE, 0.5, 0.3, _ONES),
+        lambda: signed_margin(_HUGE, 0.5, [0, 1], {0: 1, 1: -1}, _ONES),
+        lambda: search_violation(ConditionQuery(a=_HUGE, p=0.5, mode="unsigned", rho=0.3)),
+        lambda: brute_force_min_margin(ConditionQuery(a=_HUGE, p=0.5, mode="unsigned", rho=0.3)),
+        lambda: attack_arbitrary(_HUGE, np.zeros(3), 0.5, 0.3, _ONES),
+        lambda: attack_fixed_sign(_HUGE, np.zeros(3), 0.5, [0, 1], {0: 1, 1: -1}, _ONES),
+    ],
+    ids=["unsigned_margin", "signed_margin", "search", "brute_force", "attack_arbitrary",
+         "attack_fixed_sign"],
+)
+def test_overflowing_products_raise_numeric_error_without_warnings(call):
+    # tier-1 turns warnings into errors, so a RuntimeWarning would fail here
+    with pytest.raises(NumericError, match="A z overflowed"):
+        call()

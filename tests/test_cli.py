@@ -739,6 +739,24 @@ def test_overflowing_decode_exits_with_one_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: objective became non-finite"]
 
 
+def test_overflowing_certify_exits_with_one_line(tmp_path):
+    # a finite A whose products A z overflow: no margin of the search is
+    # finite, and in a fresh interpreter every warning would print
+    a = 5e307 * lpdecode.gaussian_matrix(30, 3, SeedSpec(0, 0))
+    inst = Instance(a=a, f=np.zeros(3), e=np.zeros(30), y=np.zeros(30),
+                    support=np.array([], dtype=np.int64))
+    write_instance(inst, tmp_path / "inst")
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpdecode", "certify", "--instance", str(tmp_path / "inst"),
+         "--mode", "unsigned", "--p", "0.5", "--rho", "0.3", "--seed", "1"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert "A z overflowed" in proc.stderr
+
+
 # Run in a fresh interpreter: the last stdout line is the exit code and the
 # loaded scipy, multiprocessing and numpy.ma modules, as JSON.
 _MODULES_AFTER = (

@@ -36,7 +36,11 @@ GOLDEN = {
          "--regime", "adversarial", "--seed", "1"],
         "38084e93432d29c0fb8019f121ae43fe749d3eb66b4439cfef48bccb4115ba14",
     ),
-    # the README's certify and attack examples
+    # the README's decode, certify and attack examples
+    "decode-readme": (
+        ["decode", "--p", "0.5", "--m", "200", "--n", "20", "--rho", "0.2", "--seed", "1"],
+        "2a2116a2f67557822fc31ba443781d498d11b7444756462b0a61bf45e477d42c",
+    ),
     "certify-readme": (
         ["certify", "--mode", "unsigned", "--p", "0.5", "--m", "400", "--n", "20",
          "--rho", "0.45", "--restarts", "4", "--seed", "2"],

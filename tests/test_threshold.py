@@ -1,7 +1,5 @@
 """Recovery threshold curve rho*(p) and its Monte Carlo oracle."""
 
-import math
-
 import numpy as np
 import pytest
 from scipy.special import digamma, gammainccinv
@@ -13,6 +11,7 @@ from lpdecode import (
     CurveRequest,
     DomainError,
     NumericError,
+    SeedSpec,
     ThresholdPoint,
     curve,
     drho_dp,
@@ -263,12 +262,10 @@ def test_mc_oracle_matches_quadrature_threshold():
 
 def test_mc_oracle_prefix_sum_property():
     # replay the oracle's documented stream and check the defining cut
-    from lpdecode.seeding import generator_from
-
     p, m, seed = 0.7, 20_000, 9
     est = mc_threshold_oracle(p, m, seed)
     k = round(est * m)
-    y = np.sort(np.abs(generator_from(seed, 0).standard_normal(m)) ** p)[::-1]
+    y = np.sort(np.abs(SeedSpec(seed, 0).generator().standard_normal(m)) ** p)[::-1]
     prefix = np.cumsum(y)
     total = prefix[-1]
     assert prefix[k - 1] >= total / 2
