@@ -117,7 +117,6 @@ class CertifyReport:
     min_margin: float
     witness: np.ndarray
     violated: bool
-    restarts_used: int
 
 
 def _top_k(absv: np.ndarray, k: int) -> np.ndarray:
@@ -285,10 +284,7 @@ def search_violation(
     if not math.isfinite(best_margin):
         raise NumericError(f"the least margin of the search is {best_margin}: A z overflowed")
     return CertifyReport(
-        min_margin=best_margin,
-        witness=best_z,
-        violated=bool(best_margin < 0),
-        restarts_used=restarts,
+        min_margin=best_margin, witness=best_z, violated=bool(best_margin < 0)
     )
 
 

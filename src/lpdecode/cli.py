@@ -211,7 +211,7 @@ def _cmd_certify(args) -> str:
             "min_margin": report.min_margin,
             "violated": report.violated,
             "witness": [float(v) for v in report.witness],
-            "restarts_used": report.restarts_used,
+            "restarts_used": args.restarts,
             "mode": args.mode,
             "p": args.p,
             "rho": args.rho if args.mode == "unsigned" else len(support) / len(a),

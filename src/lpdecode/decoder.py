@@ -176,7 +176,7 @@ def _irls(a, y, p, s2):
     a is (T, m, n), y is (T, m) and s2 (T,) is the squared measurement
     scale of each trial; a trial with s2 = 0 (a zero y) or whose first
     solve fails is not run.  Returns per-trial x (T, n), iterations (T,),
-    converged (T,) and phase_starts (T, phases), the trace (steps, T),
+    converged (T,) and phase_starts (T, phases), the trace (steps taken, T),
     whose first iterations[t] rows hold trial t's objectives, and
     {trial: LpdecodeError} for the failures, those of the first solve
     included; a trial that was not run or failed has zero rows.  The stack
@@ -192,11 +192,10 @@ def _irls(a, y, p, s2):
     keep[list(errors)] = False
     r = y - (a @ x[..., None])[..., 0]
     phase = np.zeros(t_count, dtype=np.int64)  # each trial's index into _EPS
-    inner = np.zeros(t_count, dtype=np.int64)
     # A trial is live from the first step until it is done, so its k-th
-    # iteration is the stack's k-th step: trace[k] holds every trial's k-th
-    # objective, and a trial's iteration count is the step it finished at.
-    trace = np.empty((len(_EPS) * _MAX_INNER, t_count))
+    # iteration is the stack's k-th step: trace[k] holds every live trial's
+    # k-th objective, and a trial's iteration count is the step it finished at.
+    trace = []
     iterations = np.zeros(t_count, dtype=np.int64)
     phase_starts = np.zeros((t_count, len(_EPS)), dtype=np.int64)
     x_out = np.zeros((t_count, n))
@@ -204,9 +203,7 @@ def _irls(a, y, p, s2):
     k = 0
     while keep.any():
         if not keep.all():
-            ids, x, r, s2, phase, inner = (
-                v[keep] for v in (ids, x, r, s2, phase, inner)
-            )
+            ids, x, r, s2, phase = (v[keep] for v in (ids, x, r, s2, phase))
             rows = np.flatnonzero(keep)
             for dst, src in enumerate(rows):  # dst <= src: no live row is lost
                 if dst < src:
@@ -216,16 +213,16 @@ def _irls(a, y, p, s2):
         w = (r * r + eps_abs) ** (p / 2 - 1)
         x_new, failed = _solve(a, w, y)
         r_new = y - (a @ x_new[..., None])[..., 0]
-        trace[k, ids] = np.sum((r_new * r_new + eps_abs) ** (p / 2), axis=-1)
+        trace.append(np.empty(t_count))
+        trace[k][ids] = np.sum((r_new * r_new + eps_abs) ** (p / 2), axis=-1)
         k += 1
         denom = np.maximum(_norms(x), _norms(x_new))
         # x_new == x == 0 where denom is 0, so the step reads 0 there
         step = _norms(x_new - x) / np.where(denom > 0, denom, 1.0)
         x, r = x_new, r_new
-        inner += 1
 
         settled = step <= _INNER_TOL
-        phase_over = settled | (inner >= _MAX_INNER)
+        phase_over = settled | (k - phase_starts[ids, phase] >= _MAX_INNER)
         keep = np.ones(len(ids), dtype=bool)
         for t, exc in failed.items():
             errors[int(ids[t])] = exc
@@ -236,11 +233,10 @@ def _irls(a, y, p, s2):
             more = phase_over & ~done
             phase[more] += 1
             phase_starts[ids[more], phase[more]] = k
-            inner[phase_over] = 0
             x_out[ids[done]] = x[done]
             iterations[ids[done]] = k
             keep &= ~done
-    return x_out, iterations, converged, phase_starts, trace, errors
+    return x_out, iterations, converged, phase_starts, np.reshape(trace, (k, t_count)), errors
 
 
 def _scale(a, y):

@@ -18,7 +18,6 @@ from .certify import attack_arbitrary
 from .decoder import _decode_stack, _dposv, lp_objective
 from .ensemble import (
     ErrorSpec,
-    Instance,
     SeedSpec,
     apply_decoder_success,
     draw_support_signs,
@@ -125,29 +124,26 @@ def trial_seeds(plan: SweepPlan, p_index: int, rho_index: int, trial: int):
     )
 
 
-def _build_instance(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed) -> Instance:
+def _build_trial(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed):
+    """(A, y, f, e) of one trial, with floor(rho m) errors in every regime.
+
+    ``adversarial`` errors are e = A z on the floor(rho m) largest entries
+    of |A z| for a random direction z: a planted decoy, not a searched
+    worst case.
+    """
     m, n = plan.m, plan.n
     k = floor_count(rho, m)
-    if plan.error_regime == "fixed_sign" and k > 0:
-        _, signs = draw_support_signs(m, rho, aux_seed)
-        spec = ErrorSpec(rho=rho, fixed_signs=signs)
-        return make_instance(m, n, spec, inst_seed)
     if plan.error_regime == "adversarial" and k > 0:
         base = make_instance(m, n, ErrorSpec(rho=0.0), inst_seed)
         z = aux_seed.generator().standard_normal(n)
-        e, _ = attack_arbitrary(base.a, base.f, p, rho, z)
-        support = np.sort(np.flatnonzero(e)).astype(np.int64)
-        signs = {int(i): int(np.sign(e[i])) for i in support}
-        return Instance(
-            a=base.a,
-            f=base.f,
-            e=e,
-            y=base.a @ base.f + e,
-            support=support,
-            signs=signs,
-            seed=inst_seed,
-        )
-    return make_instance(m, n, ErrorSpec(rho=rho), inst_seed)
+        # the attack places ceil(rho m) errors; ceil at rho = k / m gives k
+        e, _ = attack_arbitrary(base.a, base.f, p, k / m, z)
+        return base.a, base.a @ base.f + e, base.f, e
+    spec = ErrorSpec(rho=rho)
+    if plan.error_regime == "fixed_sign" and k > 0:
+        spec = ErrorSpec(rho=rho, fixed_signs=draw_support_signs(m, rho, aux_seed)[1])
+    inst = make_instance(m, n, spec, inst_seed)
+    return inst.a, inst.y, inst.f, inst.e
 
 
 def _stacks(plan: SweepPlan) -> list[tuple[int, int, int]]:
@@ -184,14 +180,11 @@ def _run_stack(plan: SweepPlan, p_index: int, start: int, stop: int):
     for k in range(start, stop):
         rho_index, trial = divmod(k, plan.trials)
         inst_seed, aux_seed = trial_seeds(plan, p_index, rho_index, trial)
+        j, rho = len(truths), plan.rho_values[rho_index]
         try:
-            inst = _build_instance(plan, p, plan.rho_values[rho_index], inst_seed, aux_seed)
+            a[j], y[j], *truths[k] = _build_trial(plan, p, rho, inst_seed, aux_seed)
         except LpdecodeError as exc:
             outcomes[k] = exc
-            continue
-        a[len(truths)], y[len(truths)] = inst.a, inst.y
-        truths[k] = inst.f, inst.e
-        del inst  # the stack's row is now the trial's only A
     if truths:
         decoded = _decode_stack(a[: len(truths)], y[: len(truths)], p)
         for (k, (f, e)), result in zip(truths.items(), decoded):

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from lpdecode import (
 )
 from lpdecode import decoder
 from lpdecode.decoder import _decode_stack
-from lpdecode.harness import _build_instance
+from lpdecode.harness import _build_trial
 
 from certify_oracle import exact_lp_decode, l1_decode
 
@@ -349,11 +350,9 @@ def _cell_stack(regime, p, rho, trials, m, n, seed):
         m=m, n=n, p_values=(p,), rho_values=(rho,), trials=trials,
         error_regime=regime, master_seed=seed,
     )
-    insts = [
-        _build_instance(plan, p, rho, *trial_seeds(plan, 0, 0, t))
-        for t in range(trials)
-    ]
-    return np.stack([i.a for i in insts]), np.stack([i.y for i in insts])
+    seeds = [trial_seeds(plan, 0, 0, t) for t in range(trials)]
+    a, y, _, _ = zip(*(_build_trial(plan, p, rho, *s) for s in seeds))
+    return np.stack(a), np.stack(y)
 
 
 def test_batched_kernel_matches_single_runs_up_to_the_caps():
@@ -398,6 +397,22 @@ def test_singular_trial_fails_alone():
         assert _key(stacked[t]) == _key(decode(a[t], y[t], DecoderConfig(p=0.5)))
     with pytest.raises(SingularityError):
         decode(a[2], y[2], DecoderConfig(p=0.5))
+
+
+def test_small_stacks_stay_small():
+    # 728 noiseless 30 x 3 trials fill a 2^16-entry sweep stack; the
+    # objective trace holds the steps taken, not 1000 rows per trial
+    gen = SeedSpec(0, 0).generator()
+    a = gen.standard_normal((728, 30, 3))
+    y = (a @ gen.standard_normal((728, 3, 1)))[..., 0]
+    _decode_stack(a, y, 0.5)  # loads LAPACK; first-call allocations
+    tracemalloc.start()
+    try:
+        _decode_stack(a, y, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * a.nbytes, peak / a.nbytes
 
 
 def _overflowing_trial():
@@ -475,10 +490,10 @@ def test_decode_recovers_only_what_lp_decoding_recovers():
                              trials=5, error_regime=regime, master_seed=21)
             for r, rho in enumerate(plan.rho_values):
                 for t in range(plan.trials):
-                    inst = _build_instance(plan, p, rho, *trial_seeds(plan, 0, r, t))
-                    x = exact_lp_decode(inst.a, inst.y, p)
-                    exact.append(apply_decoder_success(x, inst.f))
-                    x = decode(inst.a, inst.y, DecoderConfig(p=p)).x_hat
-                    irls.append(apply_decoder_success(x, inst.f))
+                    a, y, f, _ = _build_trial(plan, p, rho, *trial_seeds(plan, 0, r, t))
+                    x = exact_lp_decode(a, y, p)
+                    exact.append(apply_decoder_success(x, f))
+                    x = decode(a, y, DecoderConfig(p=p)).x_hat
+                    irls.append(apply_decoder_success(x, f))
     assert any(irls) and not all(exact)
     assert all(e for e, i in zip(exact, irls) if i)

@@ -25,6 +25,7 @@ from lpdecode import (
     concentration_study,
     curve,
     decode,
+    floor_count,
     gaussian_matrix,
     lp_objective,
     make_instance,
@@ -471,6 +472,19 @@ def test_sweep_adversarial_regime_breaks_recovery():
     assert attack_cell.success_rate < rand_cell.success_rate
 
 
+@pytest.mark.parametrize("regime", ["arbitrary", "fixed_sign", "adversarial"])
+def test_every_regime_places_floor_rho_m_errors(regime):
+    # rho m = 1.5 and 4.5: the attack rounds its support up, so the
+    # adversarial regime must hand it rho = floor(rho m) / m
+    plan = SweepPlan(
+        m=30, n=3, p_values=(0.5,), rho_values=(0.05, 0.15), trials=3, error_regime=regime
+    )
+    for r, rho in enumerate(plan.rho_values):
+        for t in range(plan.trials):
+            *_, e = harness._build_trial(plan, 0.5, rho, *trial_seeds(plan, 0, r, t))
+            assert np.count_nonzero(e) == floor_count(rho, plan.m)
+
+
 def test_concentration_ratios_and_determinism():
     rep = concentration_study(0.5, 0.5, 20_000, trials=4, seed=3)
     assert rep.ratio_Tminus == pytest.approx(0.25, abs=0.02)
@@ -600,29 +614,29 @@ def test_singular_trial_logs_one_warning_and_leaves_the_others(monkeypatch, capl
     plan = SweepPlan(
         m=60, n=6, p_values=(0.5,), rho_values=(0.2,), trials=4, master_seed=3
     )
-    build = harness._build_instance
+    build = harness._build_trial
     bad_seed = trial_seeds(plan, 0, 0, 2)[0]
 
     def build_with_equal_columns(plan, p, rho, inst_seed, aux_seed):
-        inst = build(plan, p, rho, inst_seed, aux_seed)
+        a, y, f, e = build(plan, p, rho, inst_seed, aux_seed)
         if inst_seed == bad_seed:
-            inst.a[:, 1] = inst.a[:, 0]
-        return inst
+            a[:, 1] = a[:, 0]
+        return a, y, f, e
 
-    monkeypatch.setattr(harness, "_build_instance", build_with_equal_columns)
+    monkeypatch.setattr(harness, "_build_trial", build_with_equal_columns)
     with caplog.at_level(logging.WARNING, logger="lpdecode.harness"):
         (cell,) = run_sweep(plan)
     assert len(caplog.records) == 1
     assert "trial=2" in caplog.records[0].getMessage()
     assert cell.errors == 1
 
-    insts = [build(plan, 0.5, 0.2, *trial_seeds(plan, 0, 0, t)) for t in (0, 1, 3)]
-    results = [decode(i.a, i.y, DecoderConfig(p=0.5)) for i in insts]
+    trials = [build(plan, 0.5, 0.2, *trial_seeds(plan, 0, 0, t)) for t in (0, 1, 3)]
+    results = [decode(a, y, DecoderConfig(p=0.5)) for a, y, _, _ in trials]
     assert cell.trials == 4
     assert cell.successes == sum(
-        apply_decoder_success(r.x_hat, i.f) for r, i in zip(results, insts)
+        apply_decoder_success(r.x_hat, f) for r, (_, _, f, _) in zip(results, trials)
     )
-    gaps = [r.objective - lp_objective(i.e, 0.5) for r, i in zip(results, insts)]
+    gaps = [r.objective - lp_objective(e, 0.5) for r, (_, _, _, e) in zip(results, trials)]
     assert cell.mean_objective_gap == float(np.mean(gaps))
 
 
@@ -678,16 +692,16 @@ def test_solver_errors_are_counted_per_cell(monkeypatch):
         m=60, n=6, p_values=(0.5,), rho_values=(0.1, 0.2), trials=3, master_seed=3
     )
     clean = run_sweep(plan)
-    build = harness._build_instance
+    build = harness._build_trial
     bad_seed = trial_seeds(plan, 0, 1, 0)[0]
 
     def build_with_equal_columns(plan, p, rho, inst_seed, aux_seed):
-        inst = build(plan, p, rho, inst_seed, aux_seed)
+        a, y, f, e = build(plan, p, rho, inst_seed, aux_seed)
         if inst_seed == bad_seed:
-            inst.a[:, 1] = inst.a[:, 0]
-        return inst
+            a[:, 1] = a[:, 0]
+        return a, y, f, e
 
-    monkeypatch.setattr(harness, "_build_instance", build_with_equal_columns)
+    monkeypatch.setattr(harness, "_build_trial", build_with_equal_columns)
     cells = run_sweep(plan)
     assert [c.errors for c in clean] == [0, 0]
     assert [c.errors for c in cells] == [0, 1]

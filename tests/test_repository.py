@@ -1,8 +1,11 @@
 """Checks on the repository's own text: the README's Python examples run,
-and no module in src/ or tests/ keeps an import it never reads."""
+no module in src/ or tests/ keeps an import it never reads, and the pytest
+configuration reports a failing property test like any other failure."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +48,23 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports_in_src_or_tests():
     paths = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def test_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
+    # Hypothesis's failure report imports libcst, whose DeprecationWarning
+    # filterwarnings = error would turn into an INTERNALERROR ending the run
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(i):\n"
+        "    assert i < 5\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout, run.stdout
