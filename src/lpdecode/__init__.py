@@ -29,7 +29,6 @@ from .ensemble import (
     Instance,
     SeedSpec,
     apply_decoder_success,
-    ceil_count,
     floor_count,
     gaussian_matrix,
     make_instance,
@@ -80,7 +79,6 @@ __all__ = [
     "attack_arbitrary",
     "attack_fixed_sign",
     "brute_force_min_margin",
-    "ceil_count",
     "concentration_study",
     "curve",
     "decode",

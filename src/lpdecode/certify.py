@@ -5,7 +5,7 @@ margin at error fraction rho is
 
     sum_{i not in T} |v_i|^p - sum_{i in T} |v_i|^p,
 
-with T the ceil(rho m) indices of largest |v_i|.  Recovery of every message
+with T the floor(rho m) indices of largest |v_i|.  Recovery of every message
 under every error pattern of that size requires a non-negative margin for
 all z.  When the error support T and its signs are fixed, the adversary
 still picks the magnitudes.  For p < 1 it can make the entries of T that
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import SeedSpec, _require_seed, ceil_count
+from .ensemble import SeedSpec, _require_seed, floor_count
 from .decoder import _norms
 from .errors import DomainError, NumericError, _require_count, _require_finite, _require_in
 from .errors import _require_indices, _require_matrix, _require_p, _require_rho, _require_type
@@ -69,7 +69,7 @@ class ConditionQuery:
     support: np.ndarray | None = None
     signs: dict[int, int] | None = None
     z: np.ndarray | None = None
-    # ceil(rho m), the size of T (unsigned mode)
+    # floor(rho m), the size of T (unsigned mode)
     _k: int = field(init=False, default=0, repr=False)
     # the length-m sign vector, the signs on the support and 0 off it (signed mode)
     _sgn: np.ndarray | None = field(init=False, default=None, repr=False)
@@ -83,7 +83,7 @@ class ConditionQuery:
             if self.support is not None or self.signs is not None:
                 raise DomainError("unsigned mode takes no support or sign map")
             _require_rho(self.rho)
-            object.__setattr__(self, "_k", ceil_count(self.rho, m))
+            object.__setattr__(self, "_k", floor_count(self.rho, m))
         elif self.mode == "signed":
             if self.rho is not None:
                 raise DomainError("signed mode takes no rho: its support fixes the error count")
@@ -149,7 +149,7 @@ def _coefficients(q: ConditionQuery, v: np.ndarray, absv: np.ndarray) -> np.ndar
     names, for v of shape (m,) or (R, m) (one row per direction) and absv
     its |v|, which every caller already has.
 
-    Unsigned: -1 on T and +1 off it, T the ceil(rho m) largest |v_i| of each
+    Unsigned: -1 on T and +1 off it, T the floor(rho m) largest |v_i| of each
     row, ties going to the lower index (``_top_k``).  Signed: +1 off the
     support and -1 on T- (entries opposing their sign).  The rest of the
     support, T+, gets the least over magnitudes M of |M + |v_i||^p - M^p,
@@ -178,7 +178,7 @@ def _margin(q: ConditionQuery) -> tuple[float, np.ndarray, np.ndarray, np.ndarra
 
 
 def unsigned_margin(a: np.ndarray, p: float, rho: float, z) -> float:
-    """Margin against the worst support of size ceil(rho m) for this z."""
+    """Margin against the worst support of size floor(rho m) for this z."""
     return _margin(ConditionQuery(a=a, p=p, mode="unsigned", rho=rho, z=z))[0]
 
 
@@ -344,7 +344,7 @@ def attack_arbitrary(
     """Error pattern that makes f + z beat f whenever the unsigned margin of z
     is negative.
 
-    Places e_i = (A z)_i on the top ceil(rho m) entries T of |A z|, so the
+    Places e_i = (A z)_i on the top floor(rho m) entries T of |A z|, so the
     residual at x_alt = f + z is exactly -A z off T and zero on T:
 
         ||y - A x_alt||_p^p = sum_{i not in T} |(A z)_i|^p

@@ -3,14 +3,21 @@
 The nonsmooth objective is approached through a smoothed surrogate
 sum_i (r_i^2 + eps)^(p/2) over a fixed schedule of ten eps phases: nine
 decades 1, 0.1, ..., 1.0000000000000005e-08, each the last times 0.1, then
-a repeat at exactly 1e-8, which starts where the ninth phase converged and
-so takes one step per decode in practice.  Each phase runs at most 100
-steps of reweighted least squares with weights w_i = (r_i^2 + eps)^(p/2-1),
-which majorizes the surrogate, so the smoothed objective is non-increasing
-within a phase.  eps is applied relative to the squared measurement scale
-||y||^2 / m, which makes the whole iteration equivariant under y -> c y; the
-iteration itself runs on y and A divided by powers of two, so that holds
-across the whole float range.
+a repeat at exactly 1e-8.  Each phase runs at most 100 steps of reweighted
+least squares with weights w_i = (r_i^2 + eps)^(p/2-1), which majorizes the
+surrogate, so the smoothed objective is non-increasing within a phase.  A
+phase ends once the relative step |x_new - x| / max(|x|, |x_new|) is at
+most its tolerance: 1e-10 in the last phase, and sqrt(eps) / 1e4 in the
+nine intermediate ones, whose minimisers only start the next phase.  That
+is the rule of Chartrand and Yin ("Iteratively reweighted algorithms for
+compressive sensing", ICASSP 2008) with a 1e4 in place of their 100: on
+seeded sweeps, sqrt(eps) / 100 to sqrt(eps) / 3000 lost trials that running
+every phase to 1e-10 recovers (tests/test_decoder.py holds them), and 1e4
+lost none.  A 1000 x 100 decode at p = 0.5 runs its ten phases in 2, 3, 4,
+5, 5, 4, 4, 3, 3, 1 steps.  eps is applied relative to the
+squared measurement scale ||y||^2 / m, which makes the whole iteration
+equivariant under y -> c y; the iteration itself runs on y and A divided by
+powers of two, so that holds across the whole float range.
 
 One kernel, ``_irls``, starts and runs IRLS on a stack of trials at once
 and returns arrays; ``_decode_stack`` scales each trial and builds every
@@ -53,6 +60,8 @@ while _EPS[-1] > _EPS_MIN:
 _EPS = np.array(_EPS)
 _MAX_INNER = 100
 _INNER_TOL = 1e-10
+# The step tolerance of each phase: sqrt(eps) / 1e4, then _INNER_TOL in the last
+_TOL = np.append(np.sqrt(_EPS[:-1]) / 1e4, _INNER_TOL)
 _PIVOT_RATIO_MIN = math.sqrt(np.finfo(float).eps)
 
 
@@ -61,7 +70,9 @@ class DecoderConfig:
     """The lp exponent.  The rest is fixed: every run starts from the
     unweighted least-squares fit and takes the same ten eps phases of at
     most 100 inner iterations each, nine decades from 1 to
-    1.0000000000000005e-08 and then exactly 1e-8 (see ``_EPS``)."""
+    1.0000000000000005e-08 and then exactly 1e-8 (see ``_EPS``).  The nine
+    intermediate phases end at a relative step of sqrt(eps) / 1e4 and the
+    last at 1e-10 (see ``_TOL``)."""
 
     p: float
 
@@ -221,7 +232,7 @@ def _irls(a, y, p, s2):
         step = _norms(x_new - x) / np.where(denom > 0, denom, 1.0)
         x, r = x_new, r_new
 
-        settled = step <= _INNER_TOL
+        settled = step <= _TOL[phase]
         phase_over = settled | (k - phase_starts[ids, phase] >= _MAX_INNER)
         keep = np.ones(len(ids), dtype=bool)
         for t, exc in failed.items():

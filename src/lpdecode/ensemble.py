@@ -33,11 +33,6 @@ def floor_count(rho: float, m: int) -> int:
     return int(math.floor(rho * m + _FLOOR_GUARD))
 
 
-def ceil_count(rho: float, m: int) -> int:
-    """ceil(rho * m) with the same guard (used by the adversarial constructions)."""
-    return int(math.ceil(rho * m - _FLOOR_GUARD))
-
-
 @dataclass(frozen=True)
 class SeedSpec:
     """A (master_seed, stream_id) pair naming one Philox stream; composite

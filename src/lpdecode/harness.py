@@ -136,8 +136,7 @@ def _build_trial(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed):
     if plan.error_regime == "adversarial" and k > 0:
         base = make_instance(m, n, ErrorSpec(rho=0.0), inst_seed)
         z = aux_seed.generator().standard_normal(n)
-        # the attack places ceil(rho m) errors; ceil at rho = k / m gives k
-        e, _ = attack_arbitrary(base.a, base.f, p, k / m, z)
+        e, _ = attack_arbitrary(base.a, base.f, p, rho, z)
         return base.a, base.a @ base.f + e, base.f, e
     spec = ErrorSpec(rho=rho)
     if plan.error_regime == "fixed_sign" and k > 0:

@@ -323,6 +323,15 @@ def test_brute_force_rejects_large_n():
         brute_force_min_margin(ConditionQuery(a=a, p=0.5, mode="unsigned", rho=0.2))
 
 
+def test_unsigned_mode_counts_floor_rho_m_errors():
+    # rho m = 6.3 on a 30 x 3 matrix: T, and so the attack's errors, hold 6
+    a = gaussian_matrix(30, 3, SeedSpec(100, 0))
+    q = ConditionQuery(a=a, p=0.5, mode="unsigned", rho=0.21)
+    assert q._k == 6
+    e, _ = attack_arbitrary(a, np.zeros(3), 0.5, 0.21, np.array([1.0, -2.0, 0.5]))
+    assert np.count_nonzero(e) == 6
+
+
 def test_attack_arbitrary_identity_and_success():
     a = gaussian_matrix(400, 20, SeedSpec(114, 0))
     g = SeedSpec(115, 0).generator()
@@ -334,7 +343,7 @@ def test_attack_arbitrary_identity_and_success():
 
     v = a @ z
     t = np.flatnonzero(e)
-    assert t.size == math.ceil(rho * 400 - 1e-9)
+    assert t.size == math.floor(rho * 400 + 1e-9)
     # e equals Az on its support, so e - Az vanishes there exactly
     off = np.setdiff1d(np.arange(400), t)
     residual_alt = e - v
@@ -526,7 +535,7 @@ def _reference_margin_and_subgrad(q, z):
     floor = 1e-8 * (absv.max() + 1e-300)
     dfac = q.p * np.maximum(absv, floor) ** (q.p - 1.0) * np.sign(v)
     if q.mode == "unsigned":
-        coef = _stable_coefficients(v, math.ceil(q.rho * q.a.shape[0] - 1e-9))
+        coef = _stable_coefficients(v, math.floor(q.rho * q.a.shape[0] + 1e-9))
     else:
         sgn = np.zeros(q.a.shape[0])
         sgn[q.support] = [q.signs[int(i)] for i in q.support]

@@ -295,10 +295,17 @@ def _reference_wls(a, y, w):
     return cho_solve(factor, aw.T @ y, check_finite=False)
 
 
-def _reference_decode(a, y, p):
+def _phase_tol(eps):
+    """The decoder's step tolerance in the phase at eps: sqrt(eps) / 1e4
+    in an intermediate phase, 1e-10 in the last."""
+    return 1e-10 if eps <= 1e-8 else math.sqrt(eps) / 1e4
+
+
+def _reference_decode(a, y, p, phase_tol=_phase_tol):
     """The unbatched decoder: one IRLS loop, one Cholesky factorisation and
-    solve per iteration.  The batched kernel does the same arithmetic, so
-    its results must equal these bit for bit."""
+    solve per iteration, and phase_tol(eps) the step tolerance of the phase
+    at eps.  With the default, the batched kernel does the same arithmetic,
+    so its results must equal these bit for bit."""
     ey = math.frexp(float(np.max(np.abs(y))))[1]
     ea = math.frexp(float(np.max(np.abs(a))))[1]
     ys, as_ = np.ldexp(y, -ey), np.ldexp(a, -ea)
@@ -317,7 +324,7 @@ def _reference_decode(a, y, p):
             denom = max(np.linalg.norm(x), np.linalg.norm(x_new))
             step = np.linalg.norm(x_new - x) / denom if denom > 0 else 0.0
             x, r = x_new, r_new
-            if step <= 1e-10:
+            if step <= phase_tol(eps):
                 settled = True
                 break
         if eps <= 1e-8:
@@ -358,7 +365,8 @@ def _cell_stack(regime, p, rho, trials, m, n, seed):
 def test_batched_kernel_matches_single_runs_up_to_the_caps():
     # p = 1 against adversarial errors at 200 x 20: the five trials finish
     # at five different steps, and trial 3, the last to finish, ends
-    # non-converged at the inner cap of its last phase
+    # non-converged at the inner cap of its last phase; the reference
+    # follows the kernel's tolerance in every phase
     a, y = _cell_stack("adversarial", 1.0, 0.2, 5, 200, 20, 1)
     stacked = _decode_stack(a, y, 1.0)
     assert len({r.iterations for r in stacked}) == 5
@@ -366,6 +374,59 @@ def test_batched_kernel_matches_single_runs_up_to_the_caps():
     for t, res in enumerate(stacked):
         assert _key(res) == _key(_decode_stack(a[t : t + 1], y[t : t + 1], 1.0)[0])
         assert _key(res) == _reference_decode(a[t], y[t], 1.0)
+
+
+# Sweep cells, (m, n, seed, regime, p index, p, rho index, rho), and in each
+# a trial that IRLS recovers with every phase run to the final 1e-10 step
+# and that an earlier phase exit loses: a fixed 1e-3 loses the first,
+# sqrt(eps) / 100 each of the others, sqrt(eps) / 1000 the third and the
+# sixth, and sqrt(eps) / 3000 the sixth.
+_SEPARATING_TRIALS = [
+    ((80, 8, 14, "arbitrary", 0, 0.1, 3, 0.6), 2),
+    ((40, 4, 12, "adversarial", 0, 0.1, 1, 0.2), 1),
+    ((80, 8, 10, "adversarial", 2, 0.5, 1, 0.2), 0),
+    ((150, 15, 10, "adversarial", 0, 0.1, 1, 0.2), 1),
+    ((150, 15, 10, "fixed_sign", 2, 0.5, 6, 0.7), 1),
+    ((150, 15, 13, "fixed_sign", 0, 0.1, 6, 0.7), 0),
+    ((30, 3, 40, "arbitrary", 4, 0.9, 5, 0.6), 2),
+]
+
+
+@pytest.mark.parametrize(
+    "cell, trial", _SEPARATING_TRIALS,
+    ids=[f"{c[0]}x{c[1]}-seed{c[2]}-{c[3]}-p{c[5]}-rho{c[7]}" for c, _ in _SEPARATING_TRIALS],
+)
+def test_early_phase_exits_lose_no_recovered_trial(cell, trial):
+    # every trial of the cell that IRLS recovers with each phase run to the
+    # final 1e-10 step, the decoder recovers too
+    m, n, seed, regime, i, p, j, rho = cell
+    plan = SweepPlan(
+        m=m, n=n, p_values=(p,), rho_values=(rho,), trials=3, error_regime=regime,
+        master_seed=seed,
+    )
+    a, y, f, _ = (
+        np.stack(v)
+        for v in zip(*(_build_trial(plan, p, rho, *trial_seeds(plan, i, j, t)) for t in range(3)))
+    )
+    decoded = _decode_stack(a, y, p)
+    for t in range(3):
+        ref = _reference_decode(a[t], y[t], p, phase_tol=lambda eps: 1e-10)
+        recovered = apply_decoder_success(np.frombuffer(ref[0]), f[t])
+        assert recovered or t != trial
+        assert apply_decoder_success(decoded[t].x_hat, f[t]) or not recovered
+
+
+def test_decode_large_takes_at_most_110_steps():
+    # the three 1000 x 100 instances of the decode_large benchmark: each
+    # intermediate phase ends at its own step tolerance, so 106 steps in all
+    # where running every phase to 1e-10 took 207
+    steps = 0
+    for i in range(3):
+        inst = make_instance(1000, 100, ErrorSpec(rho=0.2), SeedSpec(0, i))
+        res = decode(inst.a, inst.y, DecoderConfig(p=0.5))
+        assert res.converged and apply_decoder_success(res.x_hat, inst.f)
+        steps += res.iterations
+    assert steps <= 110, steps
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)

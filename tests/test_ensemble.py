@@ -10,7 +10,6 @@ from lpdecode import (
     ErrorSpec,
     SeedSpec,
     apply_decoder_success,
-    ceil_count,
     floor_count,
     gaussian_matrix,
     make_instance,
@@ -45,13 +44,6 @@ def test_floor_count_guards_float_droop():
     assert floor_count(0.2, 10) == 2
     assert floor_count(0.25, 10) == 2
     assert floor_count(0.0, 50) == 0
-
-
-def test_ceil_count_guards_float_droop():
-    assert ceil_count(0.29, 100) == 29
-    assert ceil_count(0.25, 10) == 3
-    assert ceil_count(0.3, 10) == 3
-    assert ceil_count(0.0, 50) == 0
 
 
 def test_gaussian_matrix_reproducible():

@@ -19,15 +19,15 @@ PHASE = ["phase", "--m", "60", "--n", "6", "--p", "0.5:1.0:0.5", "--rho", "0.1:0
 GOLDEN = {
     "phase-arbitrary": (
         PHASE + ["--regime", "arbitrary"],
-        "07a56a8873208133e532e2e4e954c8e18f750b5c5745c64f2bfbe87f5905402f",
+        "d4162ebdc990ba502455a2a3fbb1a7240c59213d9bd71d21f3cf411cd6cd773d",
     ),
     "phase-fixed_sign": (
         PHASE + ["--regime", "fixed_sign"],
-        "2f51de8dbd072d5495d484bdcec6a2820677bc6533a76235b288a26cda5042de",
+        "023663f63c96191e2963ae17bdd37465ce41b8d8b01131ba5eda518ac2d2bca6",
     ),
     "phase-adversarial": (
         PHASE + ["--regime", "adversarial"],
-        "e5031b018dfc509cfe6ab54f4a241a828be68b8babc9a48ab35b0d620f61c0a3",
+        "65f2b3ff2453460d5740f182b7f36d4fc251e0bafa1b069c038e95286270eef2",
     ),
     # p = 1 against the attack: one of the five decodes ends at the inner
     # iteration cap of its last phase, not converged
@@ -39,7 +39,7 @@ GOLDEN = {
     # the README's decode, certify and attack examples
     "decode-readme": (
         ["decode", "--p", "0.5", "--m", "200", "--n", "20", "--rho", "0.2", "--seed", "1"],
-        "2a2116a2f67557822fc31ba443781d498d11b7444756462b0a61bf45e477d42c",
+        "b056bc3ce264fcfa0f14ab00f59b4580484f0bc16209ed75c2f52d189f0290d4",
     ),
     "certify-readme": (
         ["certify", "--mode", "unsigned", "--p", "0.5", "--m", "400", "--n", "20",

@@ -474,8 +474,7 @@ def test_sweep_adversarial_regime_breaks_recovery():
 
 @pytest.mark.parametrize("regime", ["arbitrary", "fixed_sign", "adversarial"])
 def test_every_regime_places_floor_rho_m_errors(regime):
-    # rho m = 1.5 and 4.5: the attack rounds its support up, so the
-    # adversarial regime must hand it rho = floor(rho m) / m
+    # rho m = 1.5 and 4.5: every regime, the attack included, rounds down
     plan = SweepPlan(
         m=30, n=3, p_values=(0.5,), rho_values=(0.05, 0.15), trials=3, error_regime=regime
     )
