@@ -22,11 +22,10 @@ degree p in z, so searches live on the unit sphere.  A strictly negative
 margin is constructive: it converts into an explicit error vector under
 which the decoder prefers a wrong codeword.
 
-Every margin here is sum_i c_i |v_i|^p with coefficients c_i in {+1, 0, -1};
-``_coefficients`` is the one place that picks them (T unsigned; T-, and T+
-by p, signed) and so decides which entries count against recovery.  Every
-public function takes or builds a ``ConditionQuery``, which checks its
-inputs once.
+Every margin here is sum_i c_i |v_i|^p with coefficients c_i in {+1, 0, -1},
+picked by ``_coefficients`` (T unsigned; signed, ``_signed_coefficients``,
+which ``harness`` shares) and summed by ``_margins``.  Every public function
+takes or builds a ``ConditionQuery``, which checks its inputs once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 from .ensemble import SeedSpec, _require_seed, floor_count
 from .decoder import _norms
 from .errors import DomainError, NumericError, _require_count, _require_finite, _require_in
-from .errors import _require_indices, _require_matrix, _require_p, _require_rho, _require_type
+from .errors import _require_matrix, _require_p, _require_rho, _require_sign_map, _require_type
 
 _SEARCH_STEPS = 500
 _STEP_SCALE = 0.3
@@ -56,10 +55,10 @@ class ConditionQuery:
     checked: every function of this module takes or builds one.
 
     ``mode`` is ``unsigned`` (needs ``rho``) or ``signed`` (needs ``support``,
-    distinct integer indices, and ``signs``, +1 or -1 for each of them);
-    each mode refuses the other's fields, which it would not read.
-    ``z``, a nonzero direction, is where the margins and attacks evaluate
-    and where the violation search starts.
+    distinct integer indices, and ``signs``, +1 or -1 for each, keyed by
+    them alone); each mode refuses fields it would not read.  ``z``, a
+    nonzero direction, is where the margins and attacks evaluate and where
+    the violation search starts.
     """
 
     a: np.ndarray
@@ -87,18 +86,7 @@ class ConditionQuery:
         elif self.mode == "signed":
             if self.rho is not None:
                 raise DomainError("signed mode takes no rho: its support fixes the error count")
-            if self.support is None or not isinstance(self.signs, dict):
-                raise DomainError("signed mode needs a support and a sign map")
-            t = _require_indices("support", self.support, m)
-            # a sorted copy, not np.unique, which imports numpy.ma
-            s = np.sort(t)
-            if np.any(s[1:] == s[:-1]):
-                raise DomainError("support indices must be distinct")
-            _require_indices("sign map keys", list(self.signs), m)
-            if any(self.signs.get(int(i)) not in (-1, 1) for i in t):
-                raise DomainError("the sign map must give each support index +1 or -1")
-            sgn = np.zeros(m)
-            sgn[t] = [self.signs[int(i)] for i in t]
+            t, sgn = _require_sign_map(self.support, self.signs, m)
             object.__setattr__(self, "support", t)
             object.__setattr__(self, "_sgn", sgn)
         else:
@@ -144,37 +132,49 @@ def _top_k(absv: np.ndarray, k: int) -> np.ndarray:
     return above | (tied & (np.cumsum(tied, axis=-1) <= room))
 
 
+def _signed_coefficients(v: np.ndarray, sgn: np.ndarray, p: float) -> np.ndarray:
+    """Signed coefficients for v, (m,) or (R, m), and sgn the sign vector (0
+    off the support): +1 off the support and -1 on T-.  T+ gets the least
+    over M of |M + |v_i||^p - M^p, in units of |v_i|^p: 0 for p < 1 (as M
+    grows), and +1 at p = 1, where it is |v_i| for every M."""
+    opposing = v * sgn < 0
+    counted = sgn == 0 if p < 1 else ~opposing
+    return np.subtract(counted, opposing, dtype=float)
+
+
 def _coefficients(q: ConditionQuery, v: np.ndarray, absv: np.ndarray) -> np.ndarray:
     """Coefficients c of the margin sum_i c_i |v_i|^p under the condition ``q``
     names, for v of shape (m,) or (R, m) (one row per direction) and absv
     its |v|, which every caller already has.
 
     Unsigned: -1 on T and +1 off it, T the floor(rho m) largest |v_i| of each
-    row, ties going to the lower index (``_top_k``).  Signed: +1 off the
-    support and -1 on T- (entries opposing their sign).  The rest of the
-    support, T+, gets the least over magnitudes M of |M + |v_i||^p - M^p,
-    in units of |v_i|^p: 0 for p < 1, where that least value is 0 (as M
-    grows), and +1 at p = 1, where it is |v_i| for every M.
+    row, ties going to the lower index (``_top_k``).
     """
     if q.mode == "unsigned":
         return np.where(_top_k(absv, q._k), -1.0, 1.0)
-    opposing = v * q._sgn < 0
-    if q.p == 1:
-        return np.where(opposing, -1.0, 1.0)
-    return np.subtract(q._sgn == 0, opposing, dtype=float)
+    return _signed_coefficients(v, q._sgn, q.p)
+
+
+def _margins(q: ConditionQuery, z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The margin of ``q`` at each row of z, (R, n), and the v = A z, |v| and
+    coefficients it sums.  Every product is one BLAS GEMV or DOT per row on
+    C-contiguous operands, so a row's bits do not depend on the stack."""
+    v = (q.a @ z[:, :, None])[:, :, 0]
+    absv = np.abs(v)
+    coef = _coefficients(q, v, absv)
+    margins = (coef[:, None, :] @ (absv**q.p)[:, :, None])[:, 0, 0]
+    return margins, v, absv, coef
 
 
 def _margin(q: ConditionQuery) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The margin of ``q`` at ``q.z``, with the v = A z, |v| and coefficients it
-    sums; NumericError unless it is finite, which makes v finite too."""
+    """Row 0 of ``_margins`` at ``q.z``; NumericError unless the margin is
+    finite, which makes v finite too."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = q.a @ q.z
-        absv = np.abs(v)
-        coef = _coefficients(q, v, absv)
-        margin = float(np.dot(coef, absv**q.p))
+        margins, v, absv, coef = _margins(q, q.z[None])
+    margin = float(margins[0])
     if not math.isfinite(margin):
         raise NumericError(f"the margin at z is {margin}: A z overflowed")
-    return margin, v, absv, coef
+    return margin, v[0], absv[0], coef[0]
 
 
 def unsigned_margin(a: np.ndarray, p: float, rho: float, z) -> float:
@@ -188,16 +188,9 @@ def signed_margin(a: np.ndarray, p: float, support, signs: dict[int, int], z) ->
 
 
 def _margins_and_subgrads(q: ConditionQuery, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mode's margin and one subgradient at each row of z, (R, n).
-
-    Every product is one BLAS GEMV or DOT per row on C-contiguous operands,
-    as in the one-direction code, so a row's bits do not depend on the stack.
-    """
+    """``_margins`` at each row of z, (R, n), and one subgradient per row."""
     a, p = q.a, q.p
-    v = (a @ z[:, :, None])[:, :, 0]
-    absv = np.abs(v)
-    coef = _coefficients(q, v, absv)
-    margins = (coef[:, None, :] @ (absv**p)[:, :, None])[:, 0, 0]
+    margins, v, absv, coef = _margins(q, z)
     # The subgradient factor coef * p |v|^(p-1) sign(v), built in place.
     # |v|^(p-1) blows up at v = 0 for p < 1; floor it relative to the scale.
     floor = _GRAD_FLOOR * (absv.max(axis=1, keepdims=True) + 1e-300)
@@ -376,11 +369,11 @@ def attack_fixed_sign(
         ||e + A z||_p^p - ||e||_p^p
             = margin + sum_{T+} (|M + |(A z)_i||^p - M^p - c |(A z)_i|^p),
 
-    c being the coefficient ``_coefficients`` gives T+.  At p = 1, c = 1 and
-    every head term is 0 whatever M is.  For p < 1, c = 0, and M is doubled
-    until the head terms, which decay like M^(p-1), sum to less than
-    delta / 2.  Either way the alternative x_alt = f - z satisfies
-    ||y - A x_alt||_p^p <= ||e||_p^p - delta / 2.
+    c being the coefficient ``_signed_coefficients`` gives T+.  At p = 1,
+    c = 1 and every head term is 0 whatever M is.  For p < 1, c = 0, and M is
+    doubled until the head terms, M^p expm1(p log1p(|(A z)_i| / M)) with no
+    cancellation, sum to less than delta / 2; NumericError if M reaches 2^60
+    times its start first.  Then ||y - A (f - z)||_p^p <= ||e||_p^p - delta / 2.
     """
     q = ConditionQuery(a=a, p=p, mode="signed", support=support, signs=signs, z=z)
     f = _require_finite("f", f, (q.a.shape[1],))
@@ -400,7 +393,7 @@ def attack_fixed_sign(
     if q.p < 1:
         head_abs = absv[t_plus]
         while True:
-            gap = float(np.sum((magnitude + head_abs) ** q.p - magnitude**q.p))
+            gap = float(np.sum(magnitude**q.p * np.expm1(q.p * np.log1p(head_abs / magnitude))))
             if gap < delta / 2:
                 break
             if magnitude >= base * 2.0**60:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, _as_floats, _require_count, _require_finite, _require_in
 from .errors import _require_indices, _require_int, _require_matrix, _require_rho, _require_shape
-from .errors import _require_type
+from .errors import _require_sign_map, _require_type
 
 _MASK64 = (1 << 64) - 1
 # Guard against 0.29*100 = 28.999999999999996-style float droop in k = floor(rho*m).
@@ -137,16 +137,11 @@ class Instance:
         scale = max(1.0, float(np.max(np.abs(y))))
         if np.max(np.abs(resid), initial=0.0) > 64 * np.finfo(float).eps * scale:
             raise DomainError("instance violates y = a f + e at working precision")
-        # a mask, not np.setdiff1d, which imports numpy.ma through np.unique
-        off = np.ones(m, dtype=bool)
-        off[_require_indices("support", self.support, m)] = False
-        if np.any(e[off] != 0):
+        _, sgn = _require_sign_map(self.support, self.signs, m)
+        if np.any(e[sgn == 0] != 0):
             raise DomainError("error vector has mass off its declared support")
-        if sorted(self.signs) != list(self.support):
-            raise DomainError("sign map keys do not match the support")
-        for i in self.support:
-            if e[i] != 0 and int(np.sign(e[i])) != self.signs[int(i)]:
-                raise DomainError(f"sign map disagrees with e at index {i}")
+        if np.any(e * sgn < 0):
+            raise DomainError(f"sign map disagrees with e at index {np.argmax(e * sgn < 0)}")
 
 
 def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
@@ -186,16 +181,14 @@ def make_instance(m: int, n: int, spec: ErrorSpec, seed: SeedSpec) -> Instance:
     f = gen.standard_normal(n)
 
     if spec.fixed_signs is not None:
-        support = np.sort(_require_indices("fixed_signs keys", list(spec.fixed_signs), m))
+        sign_at = _require_sign_map(list(spec.fixed_signs), spec.fixed_signs, m)[1]
+        support = np.flatnonzero(sign_at)
+        mags = np.abs(gen.standard_normal(support.size))
+        sgn = sign_at[support]
     else:
         k = floor_count(spec.rho, m)
         support = np.sort(gen.choice(m, size=k, replace=False)).astype(np.int64)
-    k = support.size
-
-    mags = np.abs(gen.standard_normal(k))
-    if spec.fixed_signs is not None:
-        sgn = np.array([spec.fixed_signs[int(i)] for i in support], dtype=float)
-    else:
+        mags = np.abs(gen.standard_normal(k))
         sgn = 2.0 * gen.integers(0, 2, size=k) - 1.0
     e = np.zeros(m)
     e[support] = sgn * mags

@@ -121,3 +121,21 @@ def _require_indices(name: str, values, m: int) -> np.ndarray:
     if t.size and (t.min() < 0 or t.max() >= m):
         raise DomainError(f"{name} must lie in range({m})")
     return t
+
+
+def _require_sign_map(support, signs, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``support`` as int64 indices, and the length-m vector of each sign at
+    its index, 0 elsewhere; DomainError unless ``signs`` maps each support
+    index, once, to +1 or -1, and nothing else (compared sorted: np.unique
+    and np.isin import numpy.ma)."""
+    _require_type("signs", signs, dict)
+    keys = _require_indices("sign map keys", list(signs), m)
+    t = _require_indices("support", support, m)
+    # the keys are distinct, so equal sorted copies refuse a repeated index too
+    if not np.array_equal(np.sort(keys), np.sort(t)):
+        raise DomainError("sign map keys do not match the support")
+    if any(v not in (-1, 1) for v in signs.values()):
+        raise DomainError("the sign map must give each support index +1 or -1")
+    sgn = np.zeros(m)
+    sgn[keys] = list(signs.values())
+    return t, sgn

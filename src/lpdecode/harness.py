@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import attack_arbitrary
+from .certify import _signed_coefficients, attack_arbitrary
 from .decoder import _decode_stack, _dposv, lp_objective
 from .ensemble import (
     ErrorSpec,
@@ -253,9 +253,9 @@ def concentration_study(
     fixes the error support as the first floor(rho m) coordinates, draws its
     signs, and accumulates sum |x_i|^p over the sign-opposing head T- and
     over the tail T^c, normalized by m * E|X|^p.  As m grows these settle at
-    rho / 2 and 1 - rho.  The margin's sign is that of T^c minus T-, so it
-    turns at rho = 2/3 for p < 1; at p = 1 the sign-agreeing head counts
-    for recovery too, the margin is about 1 - rho and stays positive.
+    rho / 2 and 1 - rho.  Each trial's margin takes certify's signed
+    coefficients: T^c minus T- for p < 1, which turns at rho = 2/3, and at
+    p = 1, where T+ counts too, about 1 - rho, which stays positive.
     """
     _require_count("m", m, least=10_000)
     _require_count("trials", trials)
@@ -265,23 +265,18 @@ def concentration_study(
     gen = SeedSpec(seed, 0).generator()
     k = floor_count(rho, m)
     mass_scale = m * mu(p)
+    sgn = np.zeros(m)  # the head's signs, 0 on the tail
     minus_ratios = []
     tc_ratios = []
     diffs = []
     for _ in range(trials):
         x = gen.standard_normal(m)
-        signs = 2.0 * gen.integers(0, 2, size=k) - 1.0
-        head = x[:k]
-        head_pw = np.abs(head) ** p
-        opposing = head * signs < 0
-        s_minus = float(np.sum(head_pw[opposing]))
-        s_tc = float(np.sum(np.abs(x[k:]) ** p))
-        minus_ratios.append(s_minus / mass_scale)
-        tc_ratios.append(s_tc / mass_scale)
-        diff = s_tc - s_minus
-        if p == 1:  # the sign-agreeing head counts too, as in certify._coefficients
-            diff += float(np.sum(head_pw[~opposing]))
-        diffs.append(diff)
+        sgn[:k] = 2.0 * gen.integers(0, 2, size=k) - 1.0
+        pw = np.abs(x) ** p
+        coef = _signed_coefficients(x, sgn, p)
+        minus_ratios.append(float(np.sum(pw[coef < 0])) / mass_scale)
+        tc_ratios.append(float(np.sum(pw[k:])) / mass_scale)
+        diffs.append(float(coef @ pw))
 
     diffs = np.array(diffs)
     mean_diff = float(np.mean(diffs))

@@ -204,6 +204,10 @@ def test_condition_query_validation():
             )
     with pytest.raises(DomainError):
         ConditionQuery(a=a, p=0.5, mode="unsigned", rho=0.2, z=np.ones(3))
+    # a key outside the support, even one in range(m), is a field the mode
+    # would not read
+    with pytest.raises(DomainError, match="sign map keys do not match the support"):
+        ConditionQuery(a=a, p=0.5, mode="signed", support=[0, 1], signs={0: 1, 1: -1, 5: 7})
 
 
 def test_worst_support_dominance_exhaustive():
@@ -242,12 +246,20 @@ def test_search_finds_no_violation_far_below_threshold():
 
 
 def test_search_witness_reproduces_margin():
+    # the search and the one-direction margin share one kernel, so the
+    # witness's margin comes back bit for bit in both modes
     a = gaussian_matrix(50, 5, SeedSpec(109, 0))
-    q = ConditionQuery(a=a, p=0.5, mode="unsigned", rho=0.4)
-    rep = search_violation(q, restarts=3, seed=SeedSpec(110, 0))
-    assert np.linalg.norm(rep.witness) == pytest.approx(1.0, abs=1e-12)
-    recomputed = unsigned_margin(a, 0.5, 0.4, rep.witness)
-    assert abs(recomputed - rep.min_margin) <= 1e-10
+    support, signs = draw_support_signs(50, 0.6, SeedSpec(110, 1))
+    queries = [
+        (ConditionQuery(a=a, p=0.5, mode="unsigned", rho=0.4),
+         lambda z: unsigned_margin(a, 0.5, 0.4, z)),
+        (ConditionQuery(a=a, p=0.5, mode="signed", support=support, signs=signs),
+         lambda z: signed_margin(a, 0.5, support, signs, z)),
+    ]
+    for q, margin_at in queries:
+        rep = search_violation(q, restarts=3, seed=SeedSpec(110, 0))
+        assert np.linalg.norm(rep.witness) == pytest.approx(1.0, abs=1e-12)
+        assert margin_at(rep.witness) == rep.min_margin
 
 
 def test_search_uses_directional_hint():
@@ -429,6 +441,32 @@ def test_attack_fixed_sign_head_gap_shrinks_with_scale():
         float(np.sum((m0 + head) ** p - m0**p)) for m0 in (10.0, 100.0, 1000.0, 10000.0)
     ]
     assert all(a > b > 0 for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize(
+    "p, delta, capped",
+    [(0.5, 1e-9, False), (0.8, 1e-3, False), (0.9, 1e-3, True), (0.95, 1e-2, True)],
+)
+def test_attack_fixed_sign_head_meets_the_bound_at_large_magnitudes(p, delta, capped):
+    # |A z| = (1, 1, c): row 0 opposes its sign, row 1 agrees (T+) and row 2
+    # is off the support, so the margin is c^p - 1 = -delta.  The head gap
+    # (M + 1)^p - M^p rounds to 0 once M passes about 2^53, long before it
+    # falls below delta / 2; the attack must meet the bound in exact terms,
+    # or raise when no magnitude under its cap does
+    a = np.array([[1.0], [1.0], [(1 - delta) ** (1 / p)]])
+    support, signs, z = [0, 1], {0: -1, 1: 1}, np.ones(1)
+    margin = signed_margin(a, p, support, signs, z)
+    assert margin == pytest.approx(-delta, rel=1e-6)
+    if capped:
+        with pytest.raises(NumericError, match="hit its cap"):
+            attack_fixed_sign(a, np.zeros(1), p, support, signs, z)
+        return
+    e, _ = attack_fixed_sign(a, np.zeros(1), p, support, signs, z)
+    magnitude = e[1]
+    assert e[0] == -1.0 and magnitude > 0 and e[2] == 0.0
+    # ||e + A z||_p^p - ||e||_p^p, with the head term free of cancellation
+    head_gap = magnitude**p * math.expm1(p * math.log1p(1.0 / magnitude))
+    assert margin + head_gap <= margin / 2
 
 
 def test_attack_fixed_sign_preconditions():

@@ -379,6 +379,21 @@ def test_certify_signed_generated_support(capsys):
     assert payload["rho"] == pytest.approx(12 / 40)
 
 
+def test_certify_signed_reads_support_from_instance(capsys, tmp_path):
+    inst = make_instance(40, 3, ErrorSpec(rho=0.0, fixed_signs={2: 1, 5: -1, 9: -1}),
+                         SeedSpec(4, 0))
+    write_instance(inst, tmp_path / "inst")
+    rc, out, _ = run(
+        capsys,
+        ["certify", "--mode", "signed", "--p", "0.5", "--instance", str(tmp_path / "inst"),
+         "--restarts", "2", "--seed", "9"],
+    )
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["mode"] == "signed"
+    assert payload["rho"] == 3 / 40
+
+
 def test_certify_unsigned_needs_rho(capsys):
     rc, _, err = run(
         capsys,
@@ -554,6 +569,9 @@ _PHASE = ["phase", "--m", "40", "--n", "5", "--trials", "1", "--seed", "1"]
         (["threshold", "--p-min", "1", "--p-max", "1", "--steps", "1", "--out", "{tmp}"], 1),
         (["certify", "--mode", "signed", "--p", "0.5", "--m", "40", "--n", "3",
           "--rho", "1.5", "--seed", "9"], 2),
+        (["certify", "--mode", "unsigned", "--p", "0.5", "--rho", "0.2", "--seed", "9"], 1),
+        (["certify", "--mode", "signed", "--p", "0.5", "--m", "40", "--n", "3",
+          "--seed", "9"], 1),
         (["attack", "--mode", "fixed_sign", "--m", "60", "--n", "4", "--p", "0.5",
           "--rho", "1.5", "--seed", "5"], 2),
     ],
@@ -565,6 +583,8 @@ _PHASE = ["phase", "--m", "40", "--n", "5", "--trials", "1", "--seed", "1"]
         "missing_instance",
         "unwritable_out",
         "certify_rho_above_one",
+        "certify_without_matrix",
+        "certify_signed_without_support",
         "attack_rho_above_one",
     ],
 )

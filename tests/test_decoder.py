@@ -532,6 +532,35 @@ def test_finished_trials_leave_the_stack(monkeypatch):
         assert _key(stacked[t]) == _key(decode(a[t], y[t], DecoderConfig(p=0.5)))
 
 
+def test_trial_whose_solve_fails_mid_run_fails_alone(monkeypatch):
+    # trial 0 has y = 0 and leaves the stack before the first step, so row 0
+    # of the second step's solve is trial 1; that solve reports it singular,
+    # after IRLS has taken a step, and only trial 1 gets the error
+    a, y = _cell_stack("arbitrary", 0.5, 0.2, 4, 60, 6, 3)
+    y[0] = 0.0
+    clean = _decode_stack(a, y, 0.5)
+    solve = decoder._solve
+    rows = []
+
+    def failing(a, w, y):
+        rows.append(len(w))
+        x, failed = solve(a, w, y)
+        if len(rows) == 3:
+            x[0] = 0.0
+            failed[0] = SingularityError("injected at the second step")
+        return x, failed
+
+    monkeypatch.setattr(decoder, "_solve", failing)
+    stacked = _decode_stack(a, y, 0.5)
+    monkeypatch.setattr(decoder, "_solve", solve)
+
+    assert rows[:4] == [4, 3, 3, 2]
+    assert isinstance(stacked[1], SingularityError) and "injected" in str(stacked[1])
+    assert not isinstance(clean[1], Exception)
+    for t in (0, 2, 3):
+        assert _key(stacked[t]) == _key(clean[t])
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_exact_lp_oracle_is_l1_decoding_at_p1(seed):
     # rho 0.5 at 30 x 3: at seed 2 the l1 minimiser is not f

@@ -167,7 +167,7 @@ def test_apply_decoder_success():
         apply_decoder_success(np.ones(2), f)
 
 
-def test_instance_validate_catches_corruption():
+def test_instance_validate_catches_corruption(tmp_path):
     inst = make_instance(20, 3, ErrorSpec(rho=0.2), SeedSpec(4, 0))
     inst.y = inst.y + 1.0
     with pytest.raises(DomainError):
@@ -195,6 +195,23 @@ def test_instance_validate_catches_corruption():
         setattr(inst, name, getattr(inst, name)[:-1])
         with pytest.raises(DomainError, match=f"{name} must have shape"):
             inst.validate()
+    # a sign map entry against the sign of e
+    inst = make_instance(20, 3, ErrorSpec(rho=0.2), SeedSpec(4, 0))
+    i = int(inst.support[1])
+    inst.signs[i] = -inst.signs[i]
+    with pytest.raises(DomainError, match=f"sign map disagrees with e at index {i}$"):
+        inst.validate()
+    # a sign of 5 where e is 0 was written and read back unchanged
+    inst = make_instance(20, 3, ErrorSpec(rho=0.2), SeedSpec(4, 0))
+    i = int(inst.support[0])
+    inst.e[i] = 0.0
+    inst.y = inst.a @ inst.f + inst.e
+    inst.signs[i] = 5
+    with pytest.raises(DomainError, match=r"\+1 or -1"):
+        inst.validate()
+    write_instance(inst, tmp_path / "sign5")
+    with pytest.raises(DomainError, match=r"\+1 or -1"):
+        read_instance(tmp_path / "sign5")
 
 
 def test_instance_roundtrip(tmp_path):

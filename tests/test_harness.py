@@ -142,6 +142,7 @@ CONTRACT_CASES = {
     "z_zero": {"z": np.zeros(3)},
     "support_float": {"support": [0.7]},
     "support_2d": {"support": [[0, 1, 2]]},
+    "support_ragged": {"support": [[0], [1, 2]]},
     "sign_key_float": {"signs": {0.7: -1, 1: -1, 2: -1}},
     "sign_key_str": {"signs": {"a": -1, 1: -1, 2: -1}},
     "signs_not_a_map": {"signs": [-1, -1, -1]},

@@ -1,6 +1,7 @@
 """Checks on the repository's own text: the README's Python examples run,
-no module in src/ or tests/ keeps an import it never reads, and the pytest
-configuration reports a failing property test like any other failure."""
+no module in src/ or tests/ keeps an import it never reads, every private
+module-level name in src/ has a caller, and the pytest configuration
+reports a failing property test like any other failure."""
 
 import ast
 import re
@@ -48,6 +49,37 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports_in_src_or_tests():
     paths = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+def _uncalled_private_names(paths: list[Path]) -> list[str]:
+    """Module-level private functions, classes and constants of ``paths``
+    that no module of ``paths`` reads, by name or as an attribute, outside
+    their own definitions."""
+    defined, read = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{where}: {name}" for name, where in sorted(defined.items()) if name not in read]
+
+
+def test_no_private_name_in_src_without_a_caller():
+    # a helper that a merge left behind, with its callers gone
+    assert _uncalled_private_names(sorted((ROOT / "src").rglob("*.py"))) == []
 
 
 def test_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
