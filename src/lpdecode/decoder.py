@@ -31,7 +31,9 @@ the stack, its rows of the scaled copy compacted in place, so no step is
 spent on it, and every trial's result is bit-identical to a run on its own.
 That solve is LAPACK's dposv from SciPy's compiled ``_flapack`` extension,
 loaded on the first decode and on its own: no ``scipy`` package module is
-ever imported.
+ever imported.  The Gram product is the GEMM A^T (W A) below n = 48, and
+from n = 48 on B^T B with B = W^(1/2) A, which NumPy hands to BLAS dsyrk
+at half the flops (``_SYRK_MIN_N``).
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ _INNER_TOL = 1e-10
 # The step tolerance of each phase: sqrt(eps) / 1e4, then _INNER_TOL in the last
 _TOL = np.append(np.sqrt(_EPS[:-1]) / 1e4, _INNER_TOL)
 _PIVOT_RATIO_MIN = math.sqrt(np.finfo(float).eps)
+# _solve forms each Gram matrix as B^T B with B = sqrt(w) A from this n on,
+# and as A^T (w A) below it.  NumPy computes B^T B by BLAS dsyrk, which does
+# half the flops of the GEMM but costs more per call.  Time of the Gram
+# matrix and right-hand side, dsyrk over GEMM (single-thread OpenBLAS):
+#   n             20         32         40    48    56    64    100   200
+#   dsyrk / GEMM  1.17-1.41  1.26-1.31  1.08  0.85  0.80  0.80  0.72  0.63
+_SYRK_MIN_N = 48
 
 
 @dataclass(frozen=True)
@@ -130,6 +139,15 @@ def _dposv():
     return module.dposv
 
 
+def _weight_rows(a, w):
+    """a * w[..., None] as one contiguous multiply of the flattened arrays,
+    whose inner loop runs over all of a, not n entries at a time; the same
+    bits.  The repeated w becomes the product, so no other copy of a is made."""
+    aw = np.repeat(w.reshape(-1), a.shape[-1])
+    aw *= a.reshape(-1)
+    return aw.reshape(a.shape)
+
+
 def _solve(a, w, y):
     """One weighted least-squares solve per trial of a stack.
 
@@ -138,17 +156,25 @@ def _solve(a, w, y):
     {trial: SingularityError} for the failures.
 
     The Gram matrices A^T W A and right-hand sides A^T W y of the whole
-    stack are two batched products; each trial is then solved by one
+    stack are two batched products: A^T (W A) and (W A)^T y below
+    n = _SYRK_MIN_N, and B^T B and B^T (W^(1/2) y) with B = W^(1/2) A from
+    it on.  The two round differently, and n alone picks one, so a trial's
+    bits do not depend on its stack.  Each trial is then solved by one
     LAPACK dposv, which factors its Gram matrix as U^T U and solves.
     G = U^T U squares the condition number of the sqrt(w)-scaled system, so
     a trial counts as numerically rank deficient when its factorisation
     fails or its pivots U_kk^2 span more than 1/sqrt(eps): past that, less
     than half the digits of x would be right.
     """
-    aw = a * w[..., None]
-    gram = np.swapaxes(a, -1, -2) @ aw
-    rhs = (np.swapaxes(aw, -1, -2) @ y[..., None])[..., 0]
     m, n = a.shape[-2:]
+    if n >= _SYRK_MIN_N:  # u is v, so NumPy computes u^T v by BLAS dsyrk
+        sw = np.sqrt(w)
+        u = v = _weight_rows(a, sw)
+        z = sw * y
+    else:
+        u, v, z = a, _weight_rows(a, w), y
+    gram = np.swapaxes(u, -1, -2) @ v
+    rhs = (np.swapaxes(v, -1, -2) @ z[..., None])[..., 0]
     x = np.zeros((len(w), n))
     pivots = np.ones((len(w), n))  # stays 1 for the trials not factored
     failed = {}

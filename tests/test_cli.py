@@ -487,6 +487,29 @@ def test_attack_fixed_sign_at_p1(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mode", "arbitrary", "--m", "400", "--n", "20", "--p", "0.5", "--rho", "0.45",
+         "--seed", "7"],
+        ["--mode", "fixed_sign", "--m", "60", "--n", "4", "--p", "0.5", "--rho", "0.8",
+         "--seed", "5"],
+        # both objectives print as 4.9288543359451616e+17, where one ulp is 64,
+        # so comparing them says nothing about the margin of -0.36
+        ["--mode", "fixed_sign", "--m", "60", "--n", "6", "--p", "0.9", "--rho", "0.55",
+         "--restarts", "2", "--seed", "27"],
+        ["--mode", "arbitrary", "--m", "400", "--n", "20", "--p", "0.5", "--rho", "0.1",
+         "--seed", "7"],
+    ],
+    ids=["arbitrary-readme", "fixed_sign-readme", "fixed_sign-rounded", "arbitrary-below"],
+)
+def test_attack_succeeds_exactly_when_the_margin_is_negative(capsys, argv):
+    rc, out, _ = run(capsys, ["attack", *argv])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["succeeded"] is (payload["margin"] < 0)
+
+
 def test_attack_deterministic(capsys):
     argv = [
         "attack",

@@ -116,13 +116,18 @@ def test_dposv_loader_without_scipy_names_it(monkeypatch):
     assert exc.value.name == "scipy"
 
 
+# shapes on both sides of decoder._SYRK_MIN_N = 48, where the Gram product
+# changes from A^T (w A) to B^T B with B = sqrt(w) A; n = 40 and 48 border it
+_WLS_SHAPES = [(200, 20), (1000, 100), (400, 40), (480, 48)]
+
+
 def _scaled_lstsq(a, y, w):
     sw = np.sqrt(w)
     return np.linalg.lstsq(a * sw[:, None], y * sw, rcond=None)[0]
 
 
 @pytest.mark.parametrize("spread", [1.0, 1e4, 1e8])
-@pytest.mark.parametrize("shape", [(200, 20), (1000, 100)])
+@pytest.mark.parametrize("shape", _WLS_SHAPES)
 def test_wls_matches_lstsq_oracle(shape, spread):
     # log-uniform weights over [1, spread]; IRLS reaches spreads near 1e8 at
     # eps_min for small p
@@ -137,7 +142,7 @@ def test_wls_matches_lstsq_oracle(shape, spread):
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("shape", [(200, 20), (1000, 100)])
+@pytest.mark.parametrize("shape", _WLS_SHAPES)
 def test_wls_nearly_collinear_matches_lstsq_or_raises(shape):
     # the last column is the one before it plus delta times noise; the Gram
     # matrix squares cond(A) ~ 1 / delta, so an accepted solve must still
@@ -223,7 +228,17 @@ def test_decode_scale_equivariance():
 def test_decode_scale_equivariance_across_float_range(c):
     # at 1e-170 mean(y*y) underflows and at 1e160 r*r overflows unless the
     # decoder rescales y first
-    inst = make_instance(60, 6, ErrorSpec(rho=0.1), SeedSpec(3, 0))
+    _assert_scale_equivariant(60, 6, c)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-170, 1e160, 1e300])
+def test_decode_scale_equivariance_across_float_range_with_syrk_gram(c):
+    # 480 x 48 takes the B^T B Gram product, with sqrt(w) weights
+    _assert_scale_equivariant(480, 48, c)
+
+
+def _assert_scale_equivariant(m, n, c):
+    inst = make_instance(m, n, ErrorSpec(rho=0.1), SeedSpec(3, 0))
     base = decode(inst.a, inst.y, DecoderConfig(p=0.5))
     res = decode(inst.a, c * inst.y, DecoderConfig(p=0.5))
     assert np.max(np.abs(res.x_hat / c - base.x_hat)) <= 1e-6
@@ -436,13 +451,51 @@ def test_decode_large_takes_at_most_110_steps():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_kernel_is_batch_invariant(trials, p, seed):
-    # each trial of a stack gives the bits it gives on its own
-    a, y = _cell_stack("arbitrary", p, 0.25, trials, 40, 4, seed)
+    _assert_batch_invariant(*_cell_stack("arbitrary", p, 0.25, trials, 40, 4, seed), p)
+
+
+def test_batched_kernel_is_batch_invariant_with_syrk_gram():
+    # from n = 48 on, each trial's Gram matrix is a dsyrk of its own
+    _assert_batch_invariant(*_cell_stack("arbitrary", 0.5, 0.3, 3, 480, 48, 2), 0.5)
+
+
+def _assert_batch_invariant(a, y, p):
+    """Each trial of a stack gives the bits it gives on its own."""
     stacked = _decode_stack(a, y, p)
-    for t in range(trials):
+    for t in range(len(a)):
         single = _decode_stack(a[t : t + 1], y[t : t + 1], p)[0]
         assert _key(stacked[t]) == _key(single)
         assert _key(single) == _key(decode(a[t], y[t], DecoderConfig(p=p)))
+
+
+@pytest.mark.parametrize(
+    "regime, p, rho, seed, recovered, converged",
+    [
+        ("arbitrary", 1.0, 0.4, 1, [False, True, False], [True, True, True]),
+        ("adversarial", 0.9, 0.3, 2, [False, False, False], [False, True, True]),
+    ],
+)
+def test_syrk_gram_takes_the_reference_steps(regime, p, rho, seed, recovered, converged):
+    # at n >= 48 the Gram matrix is B^T B by dsyrk, which rounds otherwise than
+    # the reference's A^T (w A): x_hat may move in its last bits, but each
+    # trial takes the reference's steps and phases and ends the same way
+    plan = SweepPlan(
+        m=480, n=48, p_values=(p,), rho_values=(rho,), trials=3, error_regime=regime,
+        master_seed=seed,
+    )
+    a, y, f, _ = (
+        np.stack(v)
+        for v in zip(*(_build_trial(plan, p, rho, *trial_seeds(plan, 0, 0, t)) for t in range(3)))
+    )
+    decoded = _decode_stack(a, y, p)
+    for t in range(3):
+        x, _, _, iterations, ref_converged, starts = _reference_decode(a[t], y[t], p)
+        res = decoded[t]
+        assert (res.iterations, res.phase_starts) == (iterations, starts)
+        assert res.converged == ref_converged == converged[t]
+        np.testing.assert_allclose(res.x_hat, np.frombuffer(x), rtol=0, atol=1e-9)
+        assert apply_decoder_success(res.x_hat, f[t]) == recovered[t]
+        assert apply_decoder_success(np.frombuffer(x), f[t]) == recovered[t]
 
 
 def test_singular_trial_fails_alone():
