@@ -51,7 +51,6 @@ from .threshold import (
     ThresholdPoint,
     curve,
     drho_dp,
-    mc_threshold_oracle,
     rho_star,
     solve_zstar,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "gaussian_matrix",
     "lp_objective",
     "make_instance",
-    "mc_threshold_oracle",
     "mix64",
     "mu",
     "read_instance",

@@ -5,7 +5,7 @@ Single-object results are JSON, sweeps are CSV; everything stochastic takes
 --seed (or the LPDECODE_SEED environment variable) and a rerun with the
 same flags and seed produces byte-identical output.  Exit codes: 0 success,
 1 usage error or a file that cannot be read or written, 2 numeric or domain
-failure.
+failure, or a size too large for memory.
 """
 
 from __future__ import annotations
@@ -38,13 +38,11 @@ from .ensemble import (
     mix64,
     read_instance,
 )
-from .errors import LpdecodeError
+from .errors import _MAX_POINTS, LpdecodeError
 from .harness import _REGIMES, SweepPlan, concentration_study, run_sweep
 from .threshold import CurveRequest, curve
 
 _ENV_SEED = "LPDECODE_SEED"
-# Far more points than a sweep needs; refuses a mistyped step such as 1e-12.
-_MAX_GRID_POINTS = 10**6
 
 
 class _UsageError(Exception):
@@ -73,8 +71,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if stop < start:
         raise _UsageError(f"grid stop {stop} is below start {start}")
     count = (stop - start + step / 2) // step + 1
-    if not count <= _MAX_GRID_POINTS:
-        raise _UsageError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    # refuses a mistyped step such as 1e-12
+    if not count <= _MAX_POINTS:
+        raise _UsageError(f"grid {text!r} has more than {_MAX_POINTS} points")
     return tuple(start + i * step for i in range(int(count)))
 
 
@@ -146,7 +145,15 @@ def _cmd_threshold(args) -> str:
     return _curve_csv(curve(req))
 
 
+def _refuse_with_instance(args, *flags: str) -> None:
+    """A usage error for any of ``flags`` given with --instance, whose fixture fixes them."""
+    given = [f"--{f}" for f in flags if getattr(args, f) is not None]
+    if args.instance is not None and given:
+        raise _UsageError(f"{'/'.join(given)} cannot be given with --instance")
+
+
 def _cmd_decode(args) -> str:
+    _refuse_with_instance(args, "m", "n", "rho")
     if args.instance is not None:
         inst = read_instance(args.instance)
     else:
@@ -186,6 +193,8 @@ def _cmd_phase(args) -> str:
 
 
 def _cmd_certify(args) -> str:
+    # unsigned certification takes its rho from --rho, a fixture or not
+    _refuse_with_instance(args, *(("m", "n", "rho") if args.mode == "signed" else ("m", "n")))
     seed = _resolve_seed(args)
     if args.instance is not None:
         inst = read_instance(args.instance)
@@ -293,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p-min", type=float, required=True)
     p.add_argument("--p-max", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True, help="number of p grid points")
+    p.add_argument("--steps", type=int, required=True, help=f"grid points, at most {_MAX_POINTS}")
     p.add_argument("--derivative", action="store_true", help="include drho*/dp")
     p.set_defaults(handler=_cmd_threshold)
 
@@ -304,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "converged,success,max_abs_error,x_hat.",
     )
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--instance", help="fixture prefix (reads <prefix>.csv/.json)")
+    p.add_argument("--instance", help="fixture prefix (reads <prefix>.csv/.json); fixes m, n, rho")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--rho", type=float)
@@ -322,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", required=True, help="value or start:stop:step grid")
     p.add_argument("--rho", required=True, help="value or start:stop:step grid")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=int, required=True,
+                   help=f"trials per (p, rho) cell; cells x trials is at most {_MAX_POINTS}")
     p.add_argument(
         "--regime",
         choices=_REGIMES,
@@ -340,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=("unsigned", "signed"), required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--instance", help="fixture prefix for the matrix (and support/signs)")
+    p.add_argument("--instance", help="fixture prefix for A; fixes m, n (and support/signs)")
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--rho", type=float)
@@ -399,8 +409,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except LpdecodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LpdecodeError, MemoryError) as exc:
+        # NumPy names the allocation it could not make; a bare MemoryError says nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

@@ -4,6 +4,10 @@ import operator
 
 import numpy as np
 
+# The most points a curve, a grid or a sweep may ask for: far more than an
+# experiment needs, and few enough that their lists fit in memory.
+_MAX_POINTS = 10**6
+
 
 class LpdecodeError(Exception):
     """Base class for all errors raised by this package."""
@@ -37,11 +41,13 @@ def _require_type(name: str, value, cls: type):
     return value
 
 
-def _require_count(name: str, value, least: int = 1) -> None:
-    """Raise DomainError unless ``value`` is an integer >= ``least``."""
+def _require_count(name: str, value, least: int = 1, most: float = float("inf")) -> None:
+    """Raise DomainError unless ``value`` is an integer in [``least``, ``most``]."""
     _require_int(name, value)
     if value < least:
         raise DomainError(f"{name} must be at least {least}, got {value}")
+    if value > most:
+        raise DomainError(f"{name} must be at most {most}, got {value}")
 
 
 def _require_shape(m, n) -> None:

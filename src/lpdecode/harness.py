@@ -25,8 +25,8 @@ from .ensemble import (
     make_instance,
     mix64,
 )
-from .errors import DomainError, LpdecodeError, _require_count, _require_int, _require_p
-from .errors import _require_rho, _require_shape, _require_type
+from .errors import _MAX_POINTS, DomainError, LpdecodeError, _require_count, _require_int
+from .errors import _require_p, _require_rho, _require_shape, _require_type
 from .halfnormal import mu
 
 log = logging.getLogger(__name__)
@@ -66,6 +66,9 @@ class SweepPlan:
         _require_int("master_seed", self.master_seed)
         if not self.p_values or not self.rho_values:
             raise DomainError("p and rho grids must be non-empty")
+        # a sweep lists every trial before it decodes one
+        cells = len(self.p_values) * len(self.rho_values)
+        _require_count("cells x trials", cells * int(self.trials), most=_MAX_POINTS)
         if self.error_regime not in _REGIMES:
             raise DomainError(f"unknown error_regime {self.error_regime!r}")
 

@@ -10,10 +10,6 @@ p -> 0 limit down to 0.239... at p = 1.  The two special functions are
 computed here with ``math`` alone: the inverse incomplete gamma function by
 Newton's method (with Halley's correction) on the incomplete gamma series,
 and digamma by its recurrence and asymptotic series.
-
-An order-statistics Monte Carlo oracle estimates the same quantity from
-raw samples (sort |X_i|**p, find the prefix holding half the total mass),
-providing an independent anti-regression route for the analytic curve.
 """
 
 from __future__ import annotations
@@ -21,10 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .ensemble import SeedSpec
-from .errors import DomainError, NumericError, _require_count, _require_p, _require_type
+from .errors import _MAX_POINTS, DomainError, NumericError, _require_count, _require_p
+from .errors import _require_type
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class CurveRequest:
             raise DomainError(
                 f"need p_min <= p_max, got p_min={self.p_min}, p_max={self.p_max}"
             )
-        _require_count("steps", self.steps)
+        _require_count("steps", self.steps, most=_MAX_POINTS)
         if self.steps == 1 and self.p_min != self.p_max:
             raise DomainError("a single-point request needs p_min == p_max")
 
@@ -190,18 +184,3 @@ def curve(req: CurveRequest) -> list[ThresholdPoint]:
         points.append(ThresholdPoint(p=p, z_star=zs, rho_star=_rho_at(zs), drho_dp=deriv))
     return points
 
-
-def mc_threshold_oracle(p: float, m: int, seed: int) -> float:
-    """Empirical threshold from one sorted sample of m half-normal draws.
-
-    Draw X_1..X_m ~ N(0,1), sort |X_i|**p in non-increasing order and return
-    k/m for the smallest k whose prefix sum reaches half the total sum.  A
-    consistent estimator of rho*(p); the draw is owned by a private stream,
-    so identical seeds give identical estimates.
-    """
-    _require_p(p)
-    _require_count("m", m, least=10_000)
-    y = np.sort(np.abs(SeedSpec(seed, 0).generator().standard_normal(m)) ** p)[::-1]
-    prefix = np.cumsum(y)
-    k = int(np.searchsorted(prefix, 0.5 * prefix[-1], side="left")) + 1
-    return k / m

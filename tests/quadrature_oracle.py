@@ -1,9 +1,10 @@
-"""Quadrature reference for the half-normal closed forms.
+"""Quadrature and Monte Carlo references for the half-normal closed forms.
 
 The library computes the tail moment and the log-moment pieces behind the
 threshold curve in closed form (incomplete gamma functions).  This module
 computes the same integrals by adaptive quadrature instead, so that the
-tests can check one route against the other.
+tests can check one route against the other.  :func:`mc_threshold_oracle`
+estimates rho*(p) itself from order statistics of raw samples.
 
 The weak ``x**p`` (and ``x**p * ln x``) singularity at zero is evaluated on
 ``[0, NEAR_ZERO_SPLIT]`` by a two-term series of ``exp(-x**2/2)``, so the
@@ -14,7 +15,10 @@ sqrt(2/pi) * exp(-Z_MAX**2/2) * (Z_MAX + 1/Z_MAX) < 1e-20, far under ``TOL``.
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
+
+from lpdecode import SeedSpec
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 TOL = 1e-12
@@ -97,3 +101,17 @@ def drho_dp(p, zstar):
     """Slope of the threshold curve at p, given its split point z*."""
     lower, upper = log_moment_integrals(p, zstar)
     return (lower - upper) / (2.0 * zstar**p)
+
+
+def mc_threshold_oracle(p, m, seed):
+    """Empirical threshold from one sorted sample of m half-normal draws.
+
+    Draw X_1..X_m ~ N(0,1) from the stream ``SeedSpec(seed, 0)``, sort
+    |X_i|**p in non-increasing order and return k/m for the smallest k whose
+    prefix sum reaches half the total sum: a consistent estimator of
+    rho*(p), the same for the same seed.
+    """
+    y = np.sort(np.abs(SeedSpec(seed, 0).generator().standard_normal(m)) ** p)[::-1]
+    prefix = np.cumsum(y)
+    k = int(np.searchsorted(prefix, 0.5 * prefix[-1], side="left")) + 1
+    return k / m

@@ -27,7 +27,6 @@ from lpdecode import (
     gaussian_matrix,
     lp_objective,
     make_instance,
-    mc_threshold_oracle,
     rho_star,
     run_sweep,
     search_violation,
@@ -37,6 +36,7 @@ from lpdecode import (
 from lpdecode.cli import _concentration_csv, _curve_csv, _phase_csv
 
 from certify_oracle import support_margin
+from quadrature_oracle import mc_threshold_oracle
 
 
 def _report(ok: bool, label: str, detail: str) -> None:

@@ -24,6 +24,7 @@ from lpdecode import (
     rho_star,
     write_instance,
 )
+from lpdecode import cli
 from lpdecode.cli import _parse_grid, _UsageError, main
 
 
@@ -579,6 +580,8 @@ def test_concentration_domain_error_exits_two(capsys):
 
 
 _PHASE = ["phase", "--m", "40", "--n", "5", "--trials", "1", "--seed", "1"]
+_DECODE_FIXTURE = ["decode", "--p", "0.5", "--instance", "{tmp}/inst"]
+_CERTIFY_FIXTURE = ["certify", "--p", "0.5", "--instance", "{tmp}/inst", "--seed", "0"]
 
 
 @pytest.mark.parametrize(
@@ -597,6 +600,19 @@ _PHASE = ["phase", "--m", "40", "--n", "5", "--trials", "1", "--seed", "1"]
           "--seed", "9"], 1),
         (["attack", "--mode", "fixed_sign", "--m", "60", "--n", "4", "--p", "0.5",
           "--rho", "1.5", "--seed", "5"], 2),
+        # sizes whose lists would not fit in memory are refused before any is made
+        (["threshold", "--p-min", "0.1", "--p-max", "1", "--steps", "1000000000"], 2),
+        (["phase", "--m", "20", "--n", "2", "--p", "0.5", "--rho", "0.1",
+          "--trials", "1000000000000", "--seed", "0"], 2),
+        # the fixture fixes m, n and rho; a flag that would set them is refused
+        (_DECODE_FIXTURE + ["--m", "999", "--rho", "0.9"], 1),
+        (_DECODE_FIXTURE + ["--n", "4"], 1),
+        (_DECODE_FIXTURE + ["--rho", "0.2"], 1),
+        (_CERTIFY_FIXTURE + ["--mode", "signed", "--rho", "0.7", "--m", "5"], 1),
+        (_CERTIFY_FIXTURE + ["--mode", "signed", "--rho", "0.2"], 1),
+        (_CERTIFY_FIXTURE + ["--mode", "unsigned", "--rho", "0.2", "--m", "40"], 1),
+        (_CERTIFY_FIXTURE + ["--mode", "unsigned", "--rho", "0.2", "--n", "4"], 1),
+        (_CERTIFY_FIXTURE + ["--mode", "unsigned"], 1),
     ],
     ids=[
         "nan_grid",
@@ -609,14 +625,46 @@ _PHASE = ["phase", "--m", "40", "--n", "5", "--trials", "1", "--seed", "1"]
         "certify_without_matrix",
         "certify_signed_without_support",
         "attack_rho_above_one",
+        "threshold_steps_over_cap",
+        "phase_trials_over_cap",
+        "decode_instance_with_m_and_rho",
+        "decode_instance_with_n",
+        "decode_instance_with_rho",
+        "certify_signed_instance_with_rho_and_m",
+        "certify_signed_instance_with_rho",
+        "certify_unsigned_instance_with_m",
+        "certify_unsigned_instance_with_n",
+        "certify_unsigned_instance_without_rho",
     ],
 )
 def test_bad_input_exits_with_one_line(capsys, tmp_path, argv, code):
+    # {tmp}/inst is a valid fixture, so only the flags next to it can fail
+    write_instance(make_instance(40, 4, ErrorSpec(rho=0.2), SeedSpec(17, 0)), tmp_path / "inst")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     rc, out, err = run(capsys, argv)
     assert rc == code
     assert out == ""
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "error: out of memory"),
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (10**12,)"),
+         "error: Unable to allocate 7.28 TiB for an array with shape (10**12,)"),
+    ],
+    ids=["bare", "numpy"],
+)
+def test_out_of_memory_exits_two_with_one_line(capsys, monkeypatch, exc, message):
+    def exhausted(req):
+        raise exc
+
+    monkeypatch.setattr(cli, "curve", exhausted)
+    rc, out, err = run(capsys, ["threshold", "--p-min", "0.5", "--p-max", "1", "--steps", "2"])
+    assert rc == 2
+    assert out == ""
+    assert err.splitlines() == [message]
 
 
 def _drop_f(sidecar):

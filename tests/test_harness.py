@@ -29,7 +29,6 @@ from lpdecode import (
     gaussian_matrix,
     lp_objective,
     make_instance,
-    mc_threshold_oracle,
     mu,
     run_sweep,
     search_violation,
@@ -76,7 +75,6 @@ P_ENTRY_POINTS = {
     "SweepPlan": lambda v: SweepPlan(m=20, n=2, p_values=(v,), rho_values=(0.1,), trials=1),
     "concentration_study": lambda v: concentration_study(0.6, v, 10_000, 1, 0),
     "solve_zstar": solve_zstar,
-    "mc_threshold_oracle": lambda v: mc_threshold_oracle(v, 10_000, 0),
     "CurveRequest.p_min": lambda v: CurveRequest(p_min=v, p_max=1.0, steps=2),
     "CurveRequest.p_max": lambda v: CurveRequest(p_min=0.5, p_max=v, steps=2),
     "unsigned_margin": lambda v: unsigned_margin(np.eye(3), v, 0.2, np.ones(3)),
@@ -385,6 +383,11 @@ def test_sweep_plan_validation():
         SweepPlan(
             m=20, n=2, p_values=(0.5,), rho_values=(0.1,), trials=1, error_regime="x"
         )
+    # a sweep lists all of its trials first, so at most 10^6 may be asked for
+    SweepPlan(m=20, n=2, p_values=(0.5, 1.0), rho_values=(0.1,), trials=10**6 // 2)
+    for trials in (10**6 // 2 + 1, 10**12):
+        with pytest.raises(DomainError, match="cells x trials must be at most 1000000"):
+            SweepPlan(m=20, n=2, p_values=(0.5, 1.0), rho_values=(0.1,), trials=trials)
 
 
 def test_trial_seeds_distinct():
@@ -709,3 +712,45 @@ def test_solver_errors_are_counted_per_cell(monkeypatch):
     assert _phase_csv(cells[:1]) == _phase_csv(clean[:1])
     # the CSV has no errors column, so the default output does not change
     assert _phase_csv(cells).splitlines()[0] == _phase_csv(clean).splitlines()[0]
+
+
+def test_trial_whose_build_raises_is_counted_and_skips_the_decode(monkeypatch):
+    # trial 1 of the second cell cannot be built; it is an error of its own
+    # cell, the stack decodes only the trials that were built, and every
+    # other trial comes out as in a run where all were built
+    plan = SweepPlan(
+        m=60, n=6, p_values=(0.5,), rho_values=(0.1, 0.2), trials=3, master_seed=3
+    )
+    (stack,) = harness._stacks(plan)
+    clean_outcomes, _ = harness._run_stack(plan, *stack)
+    clean = run_sweep(plan)
+    build, decode_stack = harness._build_trial, harness._decode_stack
+    bad_seed = trial_seeds(plan, 0, 1, 1)[0]
+    decoded = []
+
+    def build_or_raise(plan, p, rho, inst_seed, aux_seed):
+        if inst_seed == bad_seed:
+            raise DomainError("unbuildable trial")
+        return build(plan, p, rho, inst_seed, aux_seed)
+
+    def recording(a, y, p):
+        decoded.append(a.copy())
+        return decode_stack(a, y, p)
+
+    monkeypatch.setattr(harness, "_build_trial", build_or_raise)
+    monkeypatch.setattr(harness, "_decode_stack", recording)
+    outcomes, _ = harness._run_stack(plan, *stack)
+    assert isinstance(outcomes[4], DomainError)
+    assert outcomes[:4] + outcomes[5:] == clean_outcomes[:4] + clean_outcomes[5:]
+    (a,) = decoded
+    built = [build(plan, 0.5, rho, *trial_seeds(plan, 0, r, t))[0]
+             for r, rho in enumerate(plan.rho_values) for t in range(3) if (r, t) != (1, 1)]
+    np.testing.assert_array_equal(a, np.stack(built))
+
+    cells = run_sweep(plan)
+    assert [c.errors for c in cells] == [0, 1]
+    assert _phase_csv(cells[:1]) == _phase_csv(clean[:1])
+    recovered = [outcome[0] for outcome in clean_outcomes[3:]]
+    assert cells[1].successes == clean[1].successes - recovered[1]
+    gaps = [outcome[1] for outcome in clean_outcomes[3:]]
+    assert cells[1].mean_objective_gap == float(np.mean([gaps[0], gaps[2]]))

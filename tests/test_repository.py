@@ -1,5 +1,6 @@
 """Checks on the repository's own text: the README's Python examples run,
-no module in src/ or tests/ keeps an import it never reads, every private
+no module in src/ or tests/ keeps an import it never reads, the closed-form
+modules import no more than ``math`` and the error checks, every private
 module-level name in src/ has a caller, and the pytest configuration
 reports a failing property test like any other failure."""
 
@@ -9,13 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_readme_python_blocks_run_in_order():
     # one namespace, as a reader pasting the blocks into one session would
     blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
-    assert len(blocks) == 5
+    assert len(blocks) == 4
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
@@ -49,6 +52,22 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports_in_src_or_tests():
     paths = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+# The README calls these modules "`math` only": closed forms, no arrays.
+CLOSED_FORM_IMPORTS = {"__future__", "math", "dataclasses", ".errors"}
+
+
+@pytest.mark.parametrize("module", ["threshold", "halfnormal"])
+def test_closed_form_modules_import_only_math(module):
+    tree = ast.parse((ROOT / "src" / "lpdecode" / f"{module}.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= CLOSED_FORM_IMPORTS, sorted(imported - CLOSED_FORM_IMPORTS)
 
 
 def _uncalled_private_names(paths: list[Path]) -> list[str]:

@@ -1,10 +1,11 @@
-"""Recovery threshold curve rho*(p) and its Monte Carlo oracle."""
+"""Recovery threshold curve rho*(p), checked against quadrature and Monte Carlo."""
 
 import numpy as np
 import pytest
 from scipy.special import digamma, gammainccinv
 
 import quadrature_oracle
+from quadrature_oracle import mc_threshold_oracle
 from lpdecode import threshold
 from lpdecode.cli import _curve_csv
 from lpdecode import (
@@ -15,7 +16,6 @@ from lpdecode import (
     ThresholdPoint,
     curve,
     drho_dp,
-    mc_threshold_oracle,
     mu,
     rho_star,
     solve_zstar,
@@ -219,15 +219,10 @@ def test_curve_request_validation():
         CurveRequest(p_min=0.0, p_max=1.0, steps=5)
     with pytest.raises(DomainError):
         CurveRequest(p_min=0.1, p_max=1.1, steps=5)
-
-
-@pytest.mark.parametrize("name", ["m", "seed"])
-@pytest.mark.parametrize("bad", [20000.5, float("nan"), "3"])
-def test_mc_threshold_oracle_rejects_non_integers(name, bad):
-    args = {"m": 20_000, "seed": 1, name: bad}
-    with pytest.raises(DomainError, match=f"{name} must be an integer"):
-        mc_threshold_oracle(0.5, **args)
-    mc_threshold_oracle(0.5, **{**args, name: np.int64(20_000)})
+    # a curve lists all of its points first, so at most 10^6 may be asked for
+    CurveRequest(p_min=0.1, p_max=1.0, steps=10**6)
+    with pytest.raises(DomainError, match="steps must be at most 1000000"):
+        CurveRequest(p_min=0.1, p_max=1.0, steps=10**6 + 1)
 
 
 def test_threshold_point_validation():
@@ -270,13 +265,6 @@ def test_mc_oracle_prefix_sum_property():
     total = prefix[-1]
     assert prefix[k - 1] >= total / 2
     assert prefix[k - 2] < total / 2
-
-
-def test_mc_oracle_validation():
-    with pytest.raises(DomainError):
-        mc_threshold_oracle(0.5, 5_000, seed=1)
-    with pytest.raises(DomainError):
-        mc_threshold_oracle(1.5, 50_000, seed=1)
 
 
 def test_curve_csv_layout():
