@@ -23,12 +23,15 @@ One kernel, ``_irls``, starts and runs IRLS on a stack of trials at once
 and returns arrays; ``_decode_stack`` scales each trial and builds every
 result, or the error of a run that failed, in one loop.  ``decode`` passes
 one trial; a sweep passes the trials at one p, in the bounded stacks of
-``harness._stacks``.  A stack holds its A three times at most: the stacked
-A it was given, one scaled copy, and one weighted copy per step.  Every
-step is one batched Gram product and residual over the live trials, then
-one LAPACK Cholesky solve per trial; a trial that finishes or fails leaves
-the stack, its rows of the scaled copy compacted in place, so no step is
-spent on it, and every trial's result is bit-identical to a run on its own.
+``harness._stacks``.  A sweep keeps only each trial's x and objective, so it
+decodes without the per-step surrogate objective of ``objective_trace`` and
+without phase starts; every other bit of its results is a traced run's.  A
+stack holds its A three times at most: the stacked A it was given, one
+scaled copy, and one weighted copy per step.  Every step is one batched
+Gram product and residual over the live trials, then one LAPACK Cholesky
+solve per trial; a trial that finishes or fails leaves the stack, its rows
+of the scaled copy compacted in place, so no step is spent on it, and every
+trial's result is bit-identical to a run on its own.
 That solve is LAPACK's dposv from SciPy's compiled ``_flapack`` extension,
 loaded on the first decode and on its own: no ``scipy`` package module is
 ever imported.  The Gram product is the GEMM A^T (W A) below n = 48, and
@@ -174,29 +177,32 @@ def _solve(a, w, y):
     else:
         u, v, z = a, _weight_rows(a, w), y
     gram = np.swapaxes(u, -1, -2) @ v
-    rhs = (np.swapaxes(v, -1, -2) @ z[..., None])[..., 0]
-    x = np.zeros((len(w), n))
-    pivots = np.ones((len(w), n))  # stays 1 for the trials not factored
+    # each trial's right-hand side is overwritten by its solution in place
+    x = (np.swapaxes(v, -1, -2) @ z[..., None])[..., 0]
+    pivots = np.empty((len(w), n))
     failed = {}
     dposv = _dposv()
     for t in range(len(w)):
-        upper, xt, info = dposv(gram[t], rhs[t], lower=0)
+        upper, _, info = dposv(gram[t], x[t], lower=0, overwrite_b=1)
         if info:
             failed[t] = SingularityError(
                 "weighted system is numerically rank deficient "
                 f"(Cholesky failed at leading minor {info}, m={m}, n={n})"
             )
+            pivots[t] = 1.0  # not factored, so the pivot test below passes it
+            x[t] = 0.0
             continue
         pivots[t] = upper.diagonal()
-        x[t] = xt
     pivots **= 2
     ratios = pivots.min(axis=1) / pivots.max(axis=1)
-    for t in np.flatnonzero(~(ratios > _PIVOT_RATIO_MIN)):
-        failed[t] = SingularityError(
-            "weighted system is numerically rank deficient "
-            f"(Cholesky pivot ratio {ratios[t]:.3e}, m={m}, n={n})"
-        )
-        x[t] = 0.0
+    singular = ~(ratios > _PIVOT_RATIO_MIN)
+    if singular.any():
+        for t in np.flatnonzero(singular):
+            failed[t] = SingularityError(
+                "weighted system is numerically rank deficient "
+                f"(Cholesky pivot ratio {ratios[t]:.3e}, m={m}, n={n})"
+            )
+            x[t] = 0.0
     return x, failed
 
 
@@ -206,7 +212,7 @@ def _norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _irls(a, y, p, s2):
+def _irls(a, y, p, s2, trace=True):
     """IRLS on a stack of trials from each one's unweighted least-squares
     fit: the phases of _EPS around the inner reweighted loop, per trial.
 
@@ -216,11 +222,14 @@ def _irls(a, y, p, s2):
     converged (T,) and phase_starts (T, phases), the trace (steps taken, T),
     whose first iterations[t] rows hold trial t's objectives, and
     {trial: LpdecodeError} for the failures, those of the first solve
-    included; a trial that was not run or failed has zero rows.  The stack
-    holds only the running trials: a trial that finishes or fails leaves
-    it, and its result is written back at its own index.  Its rows of a and
-    y leave too: the live rows move forward in place, so _irls owns a and
-    y, and the caller must not read them afterwards.
+    included; a trial that was not run or failed has zero rows.  With
+    trace off, as in a sweep, the smoothed surrogate objective is not
+    evaluated at each step and the trace returned is None; every other
+    array holds the same bits.  The stack holds only the running trials: a
+    trial that finishes or fails leaves it, and its result is written back
+    at its own index.  Its rows of a and y leave too: the live rows move
+    forward in place, so _irls owns a and y, and the caller must not read
+    them afterwards.
     """
     t_count, m, n = a.shape
     ids = np.arange(t_count)  # the caller's index of each row of the stack
@@ -228,11 +237,14 @@ def _irls(a, y, p, s2):
     keep = s2 > 0
     keep[list(errors)] = False
     r = y - (a @ x[..., None])[..., 0]
+    norm = _norms(x)  # each trial's ||x||, carried from step to step
     phase = np.zeros(t_count, dtype=np.int64)  # each trial's index into _EPS
+    start = np.zeros(t_count, dtype=np.int64)  # the step its phase began at
     # A trial is live from the first step until it is done, so its k-th
-    # iteration is the stack's k-th step: trace[k] holds every live trial's
-    # k-th objective, and a trial's iteration count is the step it finished at.
-    trace = []
+    # iteration is the stack's k-th step: objectives[k] holds every live
+    # trial's k-th objective, and a trial's iteration count is the step it
+    # finished at.
+    objectives = []
     iterations = np.zeros(t_count, dtype=np.int64)
     phase_starts = np.zeros((t_count, len(_EPS)), dtype=np.int64)
     x_out = np.zeros((t_count, n))
@@ -240,7 +252,9 @@ def _irls(a, y, p, s2):
     k = 0
     while keep.any():
         if not keep.all():
-            ids, x, r, s2, phase = (v[keep] for v in (ids, x, r, s2, phase))
+            ids, x, r, s2, phase, start, norm = (
+                v[keep] for v in (ids, x, r, s2, phase, start, norm)
+            )
             rows = np.flatnonzero(keep)
             for dst, src in enumerate(rows):  # dst <= src: no live row is lost
                 if dst < src:
@@ -250,30 +264,35 @@ def _irls(a, y, p, s2):
         w = (r * r + eps_abs) ** (p / 2 - 1)
         x_new, failed = _solve(a, w, y)
         r_new = y - (a @ x_new[..., None])[..., 0]
-        trace.append(np.empty(t_count))
-        trace[k][ids] = np.sum((r_new * r_new + eps_abs) ** (p / 2), axis=-1)
+        if trace:
+            objectives.append(np.empty(t_count))
+            objectives[k][ids] = np.sum((r_new * r_new + eps_abs) ** (p / 2), axis=-1)
         k += 1
-        denom = np.maximum(_norms(x), _norms(x_new))
+        norm_new = _norms(x_new)
+        denom = np.maximum(norm, norm_new)
         # x_new == x == 0 where denom is 0, so the step reads 0 there
         step = _norms(x_new - x) / np.where(denom > 0, denom, 1.0)
-        x, r = x_new, r_new
+        x, r, norm = x_new, r_new, norm_new
 
         settled = step <= _TOL[phase]
-        phase_over = settled | (k - phase_starts[ids, phase] >= _MAX_INNER)
+        phase_over = settled | (k - start >= _MAX_INNER)
         keep = np.ones(len(ids), dtype=bool)
         for t, exc in failed.items():
             errors[int(ids[t])] = exc
             keep[t] = phase_over[t] = False
         if phase_over.any():
             done = phase_over & (phase == len(_EPS) - 1)
-            converged[ids[done & settled]] = True
             more = phase_over & ~done
             phase[more] += 1
+            start[more] = k
             phase_starts[ids[more], phase[more]] = k
-            x_out[ids[done]] = x[done]
-            iterations[ids[done]] = k
-            keep &= ~done
-    return x_out, iterations, converged, phase_starts, np.reshape(trace, (k, t_count)), errors
+            if done.any():
+                converged[ids[done & settled]] = True
+                x_out[ids[done]] = x[done]
+                iterations[ids[done]] = k
+                keep &= ~done
+    objectives = np.reshape(objectives, (k, t_count)) if trace else None
+    return x_out, iterations, converged, phase_starts, objectives, errors
 
 
 def _scale(a, y):
@@ -301,15 +320,23 @@ def decode(a: np.ndarray, y: np.ndarray, cfg: DecoderConfig) -> DecodeResult:
     return run
 
 
-def _decode_stack(a, y, p):
+def _decode_stack(a, y, p, trace=True):
     """Decode a stack of finite trials, a (T, m, n) and y (T, m), as one
     batched IRLS run per trial.  Returns, in trial order, one DecodeResult
     per trial (x = 0 for a zero y, else scaled back to the original A and
     y), or the LpdecodeError that trial raised; a trial that fails leaves
-    the others' results unchanged."""
+    the others' results unchanged.
+
+    With trace off, as in a sweep, IRLS skips the smoothed surrogate
+    objective at each step, and each result carries an empty
+    ``objective_trace`` and ``phase_starts``; its ``x_hat``, ``objective``,
+    ``iterations`` and ``converged`` are those of a traced run, bit for bit.
+    """
     t_count, _, n = a.shape
     as_, ys, ea, ey, s2 = _scale(a, y)
-    xs, iterations, converged, phase_starts, trace, errors = _irls(as_, ys, p, s2)
+    xs, iterations, converged, phase_starts, objectives, errors = _irls(
+        as_, ys, p, s2, trace
+    )
     out = []
     # an x past the float range scales back to inf, and its objective to
     # inf or NaN, which the check below reports
@@ -328,9 +355,10 @@ def _decode_stack(a, y, p):
             out.append(DecodeResult(
                 x_hat=x[t],
                 objective=obj,
-                objective_trace=(trace[:k, t] * np.exp2(ey[t] * p)).tolist(),
+                objective_trace=(objectives[:k, t] * np.exp2(ey[t] * p)).tolist()
+                if trace else [],
                 iterations=k,
                 converged=bool(converged[t]),
-                phase_starts=phase_starts[t].tolist(),
+                phase_starts=phase_starts[t].tolist() if trace else [],
             ))
     return out

@@ -188,7 +188,7 @@ def _run_stack(plan: SweepPlan, p_index: int, start: int, stop: int):
         except LpdecodeError as exc:
             outcomes[k] = exc
     if truths:
-        decoded = _decode_stack(a[: len(truths)], y[: len(truths)], p)
+        decoded = _decode_stack(a[: len(truths)], y[: len(truths)], p, trace=False)
         for (k, (f, e)), result in zip(truths.items(), decoded):
             outcomes[k] = result if isinstance(result, LpdecodeError) else (
                 apply_decoder_success(result.x_hat, f),

@@ -14,9 +14,11 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dposv as scipy_dposv
 
 from lpdecode import (
+    DecodeResult,
     DecoderConfig,
     DomainError,
     ErrorSpec,
+    LpdecodeError,
     NumericError,
     SeedSpec,
     SingularityError,
@@ -529,11 +531,11 @@ def test_small_stacks_stay_small():
     assert peak <= 4 * a.nbytes, peak / a.nbytes
 
 
-def _overflowing_trial():
-    """A 20x3 trial whose minimiser lies past the float range: A is 1e-200
+def _overflowing_trial(m=20, n=3):
+    """An m x n trial whose minimiser lies past the float range: A is 1e-200
     times a Gaussian matrix and y = e has two entries, 3e200 and -2e200."""
-    a = 1e-200 * np.random.default_rng(0).standard_normal((20, 3))
-    y = np.zeros(20)
+    a = 1e-200 * np.random.default_rng(0).standard_normal((m, n))
+    y = np.zeros(m)
     y[2], y[7] = 3e200, -2e200
     return a, y
 
@@ -555,6 +557,32 @@ def test_overflowing_trial_fails_alone():
     assert isinstance(stacked[1], NumericError)
     for t in (0, 2):
         assert _key(stacked[t]) == _key(_decode_stack(a[t : t + 1], y[t : t + 1], 0.5)[0])
+
+
+def test_trace_free_stack_gives_the_traced_results():
+    # a sweep decodes without the per-step surrogate objective; on a stack
+    # whose trials finish at five different steps, with a zero y, a
+    # singular trial and an overflowing one, every result and every error
+    # is the traced run's, and only the trace and phase starts are left out
+    a, y = _cell_stack("adversarial", 1.0, 0.2, 5, 200, 20, 1)
+    a, y = np.concatenate([a, a[:3]]), np.concatenate([y, y[:3]])
+    y[5] = 0.0
+    a[6, :, 1] = a[6, :, 0]
+    a[7], y[7] = _overflowing_trial(200, 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traced = _decode_stack(a, y, 1.0)
+        free = _decode_stack(a, y, 1.0, trace=False)
+    assert len({r.iterations for r in traced[:5]}) == 5
+    assert [type(r) for r in traced[5:]] == [DecodeResult, SingularityError, NumericError]
+    for res, ref in zip(free, traced):
+        if isinstance(ref, LpdecodeError):
+            assert (type(res), str(res)) == (type(ref), str(ref))
+            continue
+        assert (res.x_hat.tobytes(), res.objective, res.iterations, res.converged) == (
+            ref.x_hat.tobytes(), ref.objective, ref.iterations, ref.converged
+        )
+        assert res.objective_trace == res.phase_starts == []
 
 
 def test_finished_trials_leave_the_stack(monkeypatch):

@@ -655,9 +655,9 @@ def test_cell_stacks_are_bounded_and_do_not_change_results(monkeypatch):
     decode_stack = harness._decode_stack
     stacks = []
 
-    def recording(a, y, p):
+    def recording(a, y, p, trace=True):
         stacks.append((len(a), p))
-        return decode_stack(a, y, p)
+        return decode_stack(a, y, p, trace)
 
     monkeypatch.setattr(harness, "_decode_stack", recording)
     for entries, per_p in ((1, [1] * 14), (3 * 40 * 4, [2, 3, 3, 3, 3]), (1 << 20, [14])):
@@ -733,9 +733,9 @@ def test_trial_whose_build_raises_is_counted_and_skips_the_decode(monkeypatch):
             raise DomainError("unbuildable trial")
         return build(plan, p, rho, inst_seed, aux_seed)
 
-    def recording(a, y, p):
+    def recording(a, y, p, trace=True):
         decoded.append(a.copy())
-        return decode_stack(a, y, p)
+        return decode_stack(a, y, p, trace)
 
     monkeypatch.setattr(harness, "_build_trial", build_or_raise)
     monkeypatch.setattr(harness, "_decode_stack", recording)
