@@ -223,13 +223,13 @@ def _irls(a, y, p, s2, trace=True):
     whose first iterations[t] rows hold trial t's objectives, and
     {trial: LpdecodeError} for the failures, those of the first solve
     included; a trial that was not run or failed has zero rows.  With
-    trace off, as in a sweep, the smoothed surrogate objective is not
-    evaluated at each step and the trace returned is None; every other
-    array holds the same bits.  The stack holds only the running trials: a
-    trial that finishes or fails leaves it, and its result is written back
-    at its own index.  Its rows of a and y leave too: the live rows move
-    forward in place, so _irls owns a and y, and the caller must not read
-    them afterwards.
+    trace off, as in a sweep, neither the smoothed surrogate objective nor
+    the phase starts are recorded at each step, and both are returned as
+    None; every other array holds the same bits.  The stack holds only the
+    running trials: a trial that finishes or fails leaves it, and its
+    result is written back at its own index.  Its rows of a and y leave
+    too: the live rows move forward in place, so _irls owns a and y, and
+    the caller must not read them afterwards.
     """
     t_count, m, n = a.shape
     ids = np.arange(t_count)  # the caller's index of each row of the stack
@@ -246,7 +246,7 @@ def _irls(a, y, p, s2, trace=True):
     # finished at.
     objectives = []
     iterations = np.zeros(t_count, dtype=np.int64)
-    phase_starts = np.zeros((t_count, len(_EPS)), dtype=np.int64)
+    phase_starts = np.zeros((t_count, len(_EPS)), dtype=np.int64) if trace else None
     x_out = np.zeros((t_count, n))
     converged = np.zeros(t_count, dtype=bool)
     k = 0
@@ -285,7 +285,8 @@ def _irls(a, y, p, s2, trace=True):
             more = phase_over & ~done
             phase[more] += 1
             start[more] = k
-            phase_starts[ids[more], phase[more]] = k
+            if trace:
+                phase_starts[ids[more], phase[more]] = k
             if done.any():
                 converged[ids[done & settled]] = True
                 x_out[ids[done]] = x[done]
@@ -327,8 +328,9 @@ def _decode_stack(a, y, p, trace=True):
     y), or the LpdecodeError that trial raised; a trial that fails leaves
     the others' results unchanged.
 
-    With trace off, as in a sweep, IRLS skips the smoothed surrogate
-    objective at each step, and each result carries an empty
+    With trace off, as in a sweep, IRLS records neither the smoothed
+    surrogate objective nor the phase starts at each step, and each result
+    carries an empty
     ``objective_trace`` and ``phase_starts``; its ``x_hat``, ``objective``,
     ``iterations`` and ``converged`` are those of a traced run, bit for bit.
     """
