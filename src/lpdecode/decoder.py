@@ -330,9 +330,9 @@ def _decode_stack(a, y, p, trace=True):
 
     With trace off, as in a sweep, IRLS records neither the smoothed
     surrogate objective nor the phase starts at each step, and each result
-    carries an empty
-    ``objective_trace`` and ``phase_starts``; its ``x_hat``, ``objective``,
-    ``iterations`` and ``converged`` are those of a traced run, bit for bit.
+    carries an empty ``objective_trace`` and ``phase_starts``; its
+    ``x_hat``, ``objective``, ``iterations`` and ``converged`` are those of
+    a traced run, bit for bit.
     """
     t_count, _, n = a.shape
     as_, ys, ea, ey, s2 = _scale(a, y)
