@@ -5,9 +5,12 @@ vector with |N(0,1)| magnitudes under one of the paper's two error models:
 arbitrary sparse (a random support of floor(rho m) indices and random
 signs), or a fixed support with fixed signs, given as a sign map, in which
 case rho is not used.  Everything is drawn from a value-owned Philox
-stream, so a (master_seed, stream_id) pair fully determines an instance;
-the draw order inside :func:`make_instance` is frozen (matrix, message,
-support, magnitudes, signs).
+stream, so a (master_seed, stream_id) pair fully determines an instance.
+The public entry points check their arguments and then call two private
+draws, whose order is frozen: :func:`_support_signs` (support, then
+magnitudes when asked, then signs) and :func:`_draw` (matrix, message,
+then the errors).  The sweep in :mod:`lpdecode.harness` calls the private
+draws directly, since its plan has checked every argument already.
 """
 
 from __future__ import annotations
@@ -150,19 +153,42 @@ def gaussian_matrix(m: int, n: int, seed: SeedSpec) -> np.ndarray:
     return _require_seed(seed).generator().standard_normal((m, n))
 
 
+def _support_signs(gen: np.random.Generator, m: int, k: int, magnitudes: bool = False):
+    """(support, magnitudes, signs) of k errors among m entries, drawn in the
+    frozen order: a sorted uniform support, then, with ``magnitudes``, their
+    |N(0,1)| magnitudes (else None), then a +-1.0 sign for each."""
+    support = np.sort(gen.choice(m, size=k, replace=False))
+    mags = np.abs(gen.standard_normal(k)) if magnitudes else None
+    return support, mags, 2.0 * gen.integers(0, 2, size=k) - 1.0
+
+
+def _draw(gen: np.random.Generator, m: int, n: int, k: int = 0, fixed=None):
+    """(A, f, e, support, signs) drawn in the frozen order: matrix, message,
+    then k arbitrary sparse errors by :func:`_support_signs`, or, for a
+    ``fixed`` (sorted support, +-1.0 signs) pair, only their magnitudes."""
+    a = gen.standard_normal((m, n))
+    f = gen.standard_normal(n)
+    if fixed is None:
+        support, mags, sgn = _support_signs(gen, m, k, magnitudes=True)
+    else:
+        support, sgn = fixed
+        mags = np.abs(gen.standard_normal(support.size))
+    e = np.zeros(m)
+    e[support] = sgn * mags
+    return a, f, e, support, sgn
+
+
 def draw_support_signs(m: int, rho: float, seed: SeedSpec) -> tuple[np.ndarray, dict[int, int]]:
     """A uniformly random support of floor(rho m) indices and a +-1 sign for each.
 
-    The support comes back sorted.  The draw order is frozen (support by
-    ``choice``, then the signs), so a seed always gives the same pair.
+    The support comes back sorted.  This checks the arguments and maps the
+    signs of :func:`_support_signs`'s frozen draw (support, then signs), so
+    a seed always gives the same pair.
     """
     _require_count("m", m)
     _require_rho(rho)
-    gen = _require_seed(seed).generator()
-    k = floor_count(rho, m)
-    support = np.sort(gen.choice(m, size=k, replace=False))
-    signs = {int(i): int(s) for i, s in zip(support, 2 * gen.integers(0, 2, size=k) - 1)}
-    return support, signs
+    support, _, sgn = _support_signs(_require_seed(seed).generator(), m, floor_count(rho, m))
+    return support, {int(i): int(s) for i, s in zip(support, sgn)}
 
 
 def make_instance(m: int, n: int, spec: ErrorSpec, seed: SeedSpec) -> Instance:
@@ -170,31 +196,22 @@ def make_instance(m: int, n: int, spec: ErrorSpec, seed: SeedSpec) -> Instance:
 
     A and f are Gaussian.  Under arbitrary sparse errors the support has
     floor(rho m) random indices and random signs; under ``fixed_signs`` the
-    support and signs are the map's and ``rho`` is not used.  The draws come
-    in a frozen order: matrix, message, support (arbitrary errors only),
-    magnitudes, signs (arbitrary errors only).
+    support and signs are the map's and ``rho`` is not used.  This checks
+    the arguments, the sign map once, and leaves the draw to :func:`_draw`:
+    matrix, message, support (arbitrary errors only), magnitudes, signs
+    (arbitrary errors only).
     """
     _require_shape(m, n)
     _require_type("spec", spec, ErrorSpec)
     gen = _require_seed(seed).generator()
-    a = gen.standard_normal((m, n))
-    f = gen.standard_normal(n)
-
+    fixed = None
     if spec.fixed_signs is not None:
         sign_at = _require_sign_map(list(spec.fixed_signs), spec.fixed_signs, m)[1]
         support = np.flatnonzero(sign_at)
-        mags = np.abs(gen.standard_normal(support.size))
-        sgn = sign_at[support]
-    else:
-        k = floor_count(spec.rho, m)
-        support = np.sort(gen.choice(m, size=k, replace=False)).astype(np.int64)
-        mags = np.abs(gen.standard_normal(k))
-        sgn = 2.0 * gen.integers(0, 2, size=k) - 1.0
-    e = np.zeros(m)
-    e[support] = sgn * mags
+        fixed = support, sign_at[support]
+    a, f, e, support, sgn = _draw(gen, m, n, floor_count(spec.rho, m), fixed)
     signs = {int(i): int(s) for i, s in zip(support, sgn)}
-    y = a @ f + e
-    return Instance(a=a, f=f, e=e, y=y, support=support, signs=signs, seed=seed)
+    return Instance(a=a, f=f, e=e, y=a @ f + e, support=support, signs=signs, seed=seed)
 
 
 def apply_decoder_success(x_hat: np.ndarray, f: np.ndarray, tol: float = 1e-4) -> bool:
@@ -256,7 +273,9 @@ def read_instance(prefix: str | Path) -> Instance:
             seed = SeedSpec(seed["master_seed"], seed["stream_id"])
         vectors = {key: np.array(sidecar[key], dtype=float) for key in ("f", "e", "y")}
         support = _require_indices("support", sidecar["support"], sidecar["m"])
-        signs = {int(i): int(s) for i, s in sidecar["signs"].items()}
+        # +-1 becomes an int; any other sign, -1.7 included, is left for
+        # validate to refuse rather than truncated
+        signs = {int(i): int(s) if s in (-1, 1) else s for i, s in sidecar["signs"].items()}
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DomainError(f"malformed fixture {prefix}: {type(exc).__name__}: {exc}") from exc
     if a.shape != shape:

@@ -16,15 +16,7 @@ import numpy as np
 
 from .certify import _signed_coefficients, attack_arbitrary
 from .decoder import _decode_stack, _dposv, lp_objective
-from .ensemble import (
-    ErrorSpec,
-    SeedSpec,
-    apply_decoder_success,
-    draw_support_signs,
-    floor_count,
-    make_instance,
-    mix64,
-)
+from .ensemble import SeedSpec, _draw, _support_signs, apply_decoder_success, floor_count, mix64
 from .errors import _MAX_POINTS, DomainError, LpdecodeError, _require_count, _require_int
 from .errors import _require_p, _require_rho, _require_shape, _require_type
 from .halfnormal import mu
@@ -130,22 +122,24 @@ def trial_seeds(plan: SweepPlan, p_index: int, rho_index: int, trial: int):
 def _build_trial(plan: SweepPlan, p: float, rho: float, inst_seed, aux_seed):
     """(A, y, f, e) of one trial, with floor(rho m) errors in every regime.
 
+    It calls :mod:`lpdecode.ensemble`'s private draws directly, since the
+    plan has checked every argument: ``make_instance``'s bits without its
+    checks, sign map or ``Instance``.  ``fixed_sign`` draws its support and
+    signs from ``aux_seed``'s stream, as ``draw_support_signs`` does.
     ``adversarial`` errors are e = A z on the floor(rho m) largest entries
     of |A z| for a random direction z: a planted decoy, not a searched
     worst case.
     """
-    m, n = plan.m, plan.n
+    m, n, regime = plan.m, plan.n, plan.error_regime
     k = floor_count(rho, m)
-    if plan.error_regime == "adversarial" and k > 0:
-        base = make_instance(m, n, ErrorSpec(rho=0.0), inst_seed)
-        z = aux_seed.generator().standard_normal(n)
-        e, _ = attack_arbitrary(base.a, base.f, p, rho, z)
-        return base.a, base.a @ base.f + e, base.f, e
-    spec = ErrorSpec(rho=rho)
-    if plan.error_regime == "fixed_sign" and k > 0:
-        spec = ErrorSpec(rho=rho, fixed_signs=draw_support_signs(m, rho, aux_seed)[1])
-    inst = make_instance(m, n, spec, inst_seed)
-    return inst.a, inst.y, inst.f, inst.e
+    if regime == "fixed_sign":
+        support, _, sgn = _support_signs(aux_seed.generator(), m, k)
+        a, f, e, *_ = _draw(inst_seed.generator(), m, n, fixed=(support, sgn))
+    else:
+        a, f, e, *_ = _draw(inst_seed.generator(), m, n, k if regime == "arbitrary" else 0)
+        if regime == "adversarial" and k > 0:
+            e, _ = attack_arbitrary(a, f, p, rho, aux_seed.generator().standard_normal(n))
+    return a, a @ f + e, f, e
 
 
 def _stacks(plan: SweepPlan) -> list[tuple[int, int, int]]:

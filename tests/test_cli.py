@@ -714,6 +714,20 @@ def test_corrupt_fixture_vector_exits_two_with_one_line(capsys, tmp_path, argv, 
     assert "must" in err
 
 
+
+def test_fractional_fixture_sign_exits_two_with_one_line(capsys, tmp_path):
+    # a sign of -1.7 was read as -1 and the fixture decoded
+    write_instance(make_instance(20, 3, ErrorSpec(rho=0.1), SeedSpec(4, 0)), tmp_path / "inst")
+    sidecar = tmp_path / "inst.json"
+    data = json.loads(sidecar.read_text())
+    data["signs"] = {i: s * 1.7 for i, s in data["signs"].items()}
+    sidecar.write_text(json.dumps(data))
+    rc, out, err = run(capsys, ["decode", "--p", "0.5", "--instance", str(tmp_path / "inst")])
+    assert rc == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "+1 or -1" in err
+
 _SEEDS = ["0", "7"]
 _M, _N = ["12", "40"], ["1", "4"]
 # subcommand -> {flag: small valid values}

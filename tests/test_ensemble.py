@@ -250,6 +250,18 @@ def test_read_instance_rejects_malformed_support(tmp_path, support):
         read_instance(tmp_path / "bad")
 
 
+def test_read_instance_rejects_fractional_signs(tmp_path):
+    # a sign of -1.7 was truncated to -1 and accepted
+    inst = make_instance(20, 3, ErrorSpec(rho=0.2), SeedSpec(4, 0))
+    write_instance(inst, tmp_path / "bad")
+    json_file = tmp_path / "bad.json"
+    sidecar = json.loads(json_file.read_text())
+    sidecar["signs"] = {i: s * 1.7 for i, s in sidecar["signs"].items()}
+    json_file.write_text(json.dumps(sidecar))
+    with pytest.raises(DomainError, match=r"\+1 or -1"):
+        read_instance(tmp_path / "bad")
+
+
 def test_read_instance_rejects_shape_mismatch(tmp_path):
     inst = make_instance(10, 2, ErrorSpec(rho=0.3), SeedSpec(21, 0))
     write_instance(inst, tmp_path / "bad")

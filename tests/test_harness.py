@@ -1,5 +1,6 @@
 """Monte Carlo sweeps, concentration studies, and the checks of public arguments."""
 
+import hashlib
 import logging
 import math
 import tracemalloc
@@ -486,6 +487,52 @@ def test_every_regime_places_floor_rho_m_errors(regime):
         for t in range(plan.trials):
             *_, e = harness._build_trial(plan, 0.5, rho, *trial_seeds(plan, 0, r, t))
             assert np.count_nonzero(e) == floor_count(rho, plan.m)
+
+
+def _public_trial(plan, p, rho, inst_seed, aux_seed):
+    """(A, y, f, e) of one sweep trial, built by the public entry points."""
+    m, n = plan.m, plan.n
+    if plan.error_regime == "adversarial":
+        base = make_instance(m, n, ErrorSpec(rho=0.0), inst_seed)
+        z = aux_seed.generator().standard_normal(n)
+        e = attack_arbitrary(base.a, base.f, p, rho, z)[0]
+        return base.a, base.a @ base.f + e, base.f, e
+    spec = ErrorSpec(rho)
+    if plan.error_regime == "fixed_sign":
+        # an empty map (floor(rho m) = 0) is refused; no errors are drawn either way
+        spec = ErrorSpec(rho, fixed_signs=draw_support_signs(m, rho, aux_seed)[1] or None)
+    inst = make_instance(m, n, spec, inst_seed)
+    return inst.a, inst.y, inst.f, inst.e
+
+
+# sha256 of every (A, y, f, e) that _build_trial gives on the grid below,
+# recorded when the sweep still built its trials through make_instance
+TRIAL_DIGESTS = {
+    ("arbitrary", 200, 20): "9d52151140ccc63ad02b5ed59d8372c43f7e87d848f99017b777fae312f7d160",
+    ("arbitrary", 30, 3): "844b0e99b0d50c682a242e3a091853eabc3ccca856a9cc15bded9ed32ead699f",
+    ("fixed_sign", 200, 20): "1669a25af5d985616cf6513bc8b7376eb629c2429d4bc1922c5cbf15d122e16c",
+    ("fixed_sign", 30, 3): "7ab5793eb10e442970e6759d44517d2249db22a74de16d2abca1241f86eb89d8",
+    ("adversarial", 200, 20): "1d2eebf6a2d017efee4f2218fc30d5728e0b2c7fef56cd51d50629c73230df8b",
+    ("adversarial", 30, 3): "b48c42e8a62d300d0ba34ae5b7132a9fb886ed0bf47e23baf0e75e506f10eeee",
+}
+
+
+@pytest.mark.parametrize("regime, m, n", sorted(TRIAL_DIGESTS))
+def test_sweep_trials_are_the_public_instances_bit_for_bit(regime, m, n):
+    # the sweep draws its trials without the public checks, sign map or
+    # Instance; rho 0.02 puts floor(rho m) = 0 errors on the 30 x 3 trials
+    digest = hashlib.sha256()
+    for master_seed in (0, 5, 11):
+        plan = SweepPlan(m, n, (0.5, 1.0), (0.02, 0.15, 0.3), 2, regime, master_seed)
+        for pi, p in enumerate(plan.p_values):
+            for r, rho in enumerate(plan.rho_values):
+                for t in range(plan.trials):
+                    seeds = trial_seeds(plan, pi, r, t)
+                    built = harness._build_trial(plan, p, rho, *seeds)
+                    for got, want in zip(built, _public_trial(plan, p, rho, *seeds), strict=True):
+                        assert got.tobytes() == want.tobytes()
+                        digest.update(got.tobytes())
+    assert digest.hexdigest() == TRIAL_DIGESTS[regime, m, n]
 
 
 def test_concentration_ratios_and_determinism():
